@@ -1,0 +1,16 @@
+//! Records the compiler version next to the numbers it produced.
+
+use std::process::Command;
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".to_string());
+    let version = Command::new(rustc)
+        .arg("--version")
+        .output()
+        .ok()
+        .and_then(|o| String::from_utf8(o.stdout).ok())
+        .map(|v| v.trim().to_string())
+        .unwrap_or_else(|| "unknown".to_string());
+    println!("cargo:rustc-env=PERFBENCH_RUSTC_VERSION={version}");
+    println!("cargo:rerun-if-env-changed=RUSTC");
+}
