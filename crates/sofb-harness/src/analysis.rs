@@ -220,39 +220,59 @@ pub fn failover_latency_ms(events: &[TimedEvent<ProtocolEvent>]) -> Option<f64> 
 
 /// Verifies total-order safety: no two processes commit different digests
 /// at the same sequence number, and no process commits the same sequence
-/// number twice.
+/// number twice. The one-shot form of [`TotalOrderChecker`].
 pub fn check_total_order(events: &[TimedEvent<ProtocolEvent>]) -> Result<(), String> {
-    let mut bindings: HashMap<SeqNo, Digest> = HashMap::new();
-    let mut per_node_seen: HashMap<(usize, SeqNo), Digest> = HashMap::new();
-    for ev in events {
-        if let ProtocolEvent::Committed { o, digest, .. } = &ev.event {
-            if let Some(prev) = per_node_seen.get(&(ev.node, *o)) {
-                if prev != digest {
-                    return Err(format!(
-                        "node {} committed {o:?} twice with different digests",
-                        ev.node
-                    ));
+    TotalOrderChecker::default().check(events)
+}
+
+/// The total-order safety check of [`check_total_order`], fed
+/// incrementally: it keeps the sequence-number bindings of every commit
+/// seen so far, so a long-running consumer (the live service polling its
+/// cluster) checks each event once instead of re-scanning its whole
+/// history. Feeding a stream in chunks reports exactly what feeding it
+/// whole does.
+#[derive(Debug, Default)]
+pub struct TotalOrderChecker {
+    /// The digest each sequence number is bound to, across all nodes.
+    bindings: HashMap<SeqNo, Digest>,
+    /// The digest each node committed at each sequence number.
+    per_node_seen: HashMap<(usize, SeqNo), Digest>,
+}
+
+impl TotalOrderChecker {
+    /// Checks `events`, the continuation of every stream checked before,
+    /// and records their commits.
+    pub fn check(&mut self, events: &[TimedEvent<ProtocolEvent>]) -> Result<(), String> {
+        for ev in events {
+            if let ProtocolEvent::Committed { o, digest, .. } = &ev.event {
+                if let Some(prev) = self.per_node_seen.get(&(ev.node, *o)) {
+                    if prev != digest {
+                        return Err(format!(
+                            "node {} committed {o:?} twice with different digests",
+                            ev.node
+                        ));
+                    }
+                    continue;
                 }
-                continue;
-            }
-            per_node_seen.insert((ev.node, *o), *digest);
-            match bindings.get(o) {
-                None => {
-                    bindings.insert(*o, *digest);
-                }
-                Some(prev) if prev == digest => {}
-                Some(prev) => {
-                    return Err(format!(
-                        "divergent commit at {o:?}: {} vs {} (node {})",
-                        prev.short_hex(),
-                        digest.short_hex(),
-                        ev.node
-                    ));
+                self.per_node_seen.insert((ev.node, *o), *digest);
+                match self.bindings.get(o) {
+                    None => {
+                        self.bindings.insert(*o, *digest);
+                    }
+                    Some(prev) if prev == digest => {}
+                    Some(prev) => {
+                        return Err(format!(
+                            "divergent commit at {o:?}: {} vs {} (node {})",
+                            prev.short_hex(),
+                            digest.short_hex(),
+                            ev.node
+                        ));
+                    }
                 }
             }
         }
+        Ok(())
     }
-    Ok(())
 }
 
 /// Verifies exactly-once commit: every request id is bound to exactly one
@@ -431,6 +451,46 @@ mod tests {
         let bad = vec![committed(0, 10, 1, 7, 5), committed(0, 12, 1, 8, 5)];
         let err = check_total_order(&bad).unwrap_err();
         assert!(err.contains("twice"), "unexpected message: {err}");
+    }
+
+    #[test]
+    fn incremental_checker_matches_one_shot_check() {
+        // A stream that agrees for a while, then diverges across a chunk
+        // boundary: seq 3 is bound on node 0 in the first chunk and
+        // contradicted by node 2 in a later one.
+        let stream = vec![
+            committed(0, 10, 1, 1, 5),
+            committed(1, 11, 1, 1, 5),
+            committed(0, 20, 2, 2, 15),
+            committed(0, 30, 3, 3, 25),
+            committed(1, 31, 2, 2, 15),
+            committed(1, 32, 3, 3, 25),
+            committed(2, 33, 1, 1, 5),
+            committed(2, 34, 3, 9, 25),
+            committed(2, 35, 4, 4, 30),
+        ];
+        let whole = check_total_order(&stream).unwrap_err();
+        assert!(whole.contains("divergent commit"), "{whole}");
+        for chunk in 1..=stream.len() {
+            let mut checker = TotalOrderChecker::default();
+            let fed = stream
+                .chunks(chunk)
+                .map(|c| checker.check(c))
+                .find(Result::is_err)
+                .expect("chunked feed must fail too");
+            assert_eq!(fed.unwrap_err(), whole, "chunk size {chunk}");
+        }
+        // A per-node double commit split across chunks is caught as well.
+        let double = [committed(0, 10, 1, 7, 5), committed(0, 12, 1, 8, 5)];
+        let mut checker = TotalOrderChecker::default();
+        assert!(checker.check(&double[..1]).is_ok());
+        assert_eq!(
+            checker.check(&double[1..]).unwrap_err(),
+            check_total_order(&double).unwrap_err()
+        );
+        // And a consistent stream passes in any chunking.
+        let mut checker = TotalOrderChecker::default();
+        assert!(stream[..7].chunks(2).all(|c| checker.check(c).is_ok()));
     }
 
     #[test]

@@ -191,8 +191,9 @@ replaced by real calls):
                        the simulator on all four variants and fail unless
                        every commit order matches the live run
     --profile          sample wall-clock timings (node drive callbacks,
-                       wire-command handling, commit application) and
-                       print the metrics snapshot at shutdown
+                       per-op gateway time from parsed line to queued
+                       reply, commit application, accepts) and print the
+                       metrics snapshot at shutdown
 
 call — one request against a serving node; plain-text arguments are
 hex-encoded on the wire:

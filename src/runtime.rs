@@ -18,8 +18,9 @@
 //!   variants). Every submitted operation and every commit is recorded
 //!   in a [`LiveTrace`].
 //! * [`serve`]/[`call`] — a newline-delimited TCP request/reply protocol
-//!   over `std::net`, the transport behind `sofb serve <spec>` and
-//!   `sofb call <addr> <op>`.
+//!   over `std::net` (one polling thread multiplexes every connection
+//!   into the one ordered gateway client), the transport behind
+//!   `sofb serve <spec>` and `sofb call <addr> <op>`.
 //!
 //! **Cross-validation invariant:** a live run's trace replayed through
 //! the simulator ([`cross_validate`]) must commit the same requests in
@@ -31,7 +32,7 @@
 //! stacks at once.
 
 use std::collections::HashMap;
-use std::io::{BufRead, BufReader, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::OnceLock;
@@ -73,10 +74,10 @@ static PROFILER: OnceLock<MetricsRegistry> = OnceLock::new();
 static PROFILING: AtomicBool = AtomicBool::new(false);
 
 /// Turns the live profiler on for the rest of the process: node drive
-/// callbacks (`live.node_drive_ns`), wire-command handling
-/// (`live.handle_line_ns`), commit application (`live.commit_apply_ns`)
-/// and connection accepts (`live.accepts`) start sampling into the
-/// shared registry.
+/// callbacks (`live.node_drive_ns`), gateway ops from parsed request line
+/// to queued reply, commit wait included (`live.op_ns`), commit
+/// application (`live.commit_apply_ns`) and connection accepts
+/// (`live.accepts`) start sampling into the shared registry.
 pub fn enable_profiling() {
     PROFILING.store(true, Ordering::Relaxed);
 }
@@ -100,11 +101,19 @@ fn prof_time<T>(name: &str, f: impl FnOnce() -> T) -> T {
     }
     let t0 = Instant::now();
     let out = f();
-    PROFILER
-        .get_or_init(MetricsRegistry::new)
-        .histogram(name)
-        .observe(t0.elapsed().as_nanos() as u64);
+    prof_since(name, t0);
     out
+}
+
+/// Samples the time since `t0` into the nanosecond histogram `name` when
+/// profiling is on.
+fn prof_since(name: &str, t0: Instant) {
+    if PROFILING.load(Ordering::Relaxed) {
+        PROFILER
+            .get_or_init(MetricsRegistry::new)
+            .histogram(name)
+            .observe(t0.elapsed().as_nanos() as u64);
+    }
 }
 
 /// Bumps the counter `name` by `n` when profiling is on.
@@ -426,27 +435,33 @@ where
     ///
     /// Panics if the live cluster violated total order or the replica
     /// executors diverged — the invariants the simulator pins, audited
-    /// on the live path.
+    /// on the live path. The order audit is incremental: each poll checks
+    /// only the newly drained events against everything seen before.
     pub fn poll_replies(&mut self) -> &HashMap<RequestId, Vec<u8>> {
         let new = self.host.drain_events();
-        self.core.stage(&new);
+        self.core.stage(&new).expect("live ordering safety");
         self.events.extend(new);
-        analysis::check_total_order(&self.events).expect("live ordering safety");
         prof_time("live.commit_apply_ns", || self.core.execute_ready());
         self.core.replies()
     }
 
-    /// Polls until `id` has a reply or `timeout` elapses.
+    /// Polls once, without blocking: `id`'s reply if it has committed.
+    pub fn try_reply(&mut self, id: RequestId) -> Option<Vec<u8>> {
+        self.poll_replies().get(&id).cloned()
+    }
+
+    /// Polls ([`LiveService::try_reply`]) until `id` has a reply or
+    /// `timeout` elapses.
     pub fn wait_reply(&mut self, id: RequestId, timeout: Duration) -> Option<Vec<u8>> {
         let deadline = Instant::now() + timeout;
         loop {
-            if let Some(r) = self.poll_replies().get(&id) {
-                return Some(r.clone());
+            if let Some(r) = self.try_reply(id) {
+                return Some(r);
             }
             if Instant::now() >= deadline {
                 return None;
             }
-            thread::sleep(Duration::from_millis(5));
+            thread::sleep(IDLE_POLL);
         }
     }
 
@@ -471,9 +486,8 @@ where
             thread::sleep(Duration::from_millis(10));
         }
         let tail = self.host.shutdown();
-        self.core.stage(&tail);
+        self.core.stage(&tail).expect("live ordering safety");
         self.events.extend(tail);
-        analysis::check_total_order(&self.events).expect("live ordering safety");
         self.core.execute_ready();
         let trace = LiveTrace {
             kind: self.kind,
@@ -498,6 +512,8 @@ where
 pub trait LiveKv: Send {
     /// Submits an encoded [`KvOp`] for ordering.
     fn submit(&mut self, op: Vec<u8>) -> RequestId;
+    /// Polls once, without blocking: `id`'s reply if it has committed.
+    fn try_reply(&mut self, id: RequestId) -> Option<Vec<u8>>;
     /// Polls until `id` has a reply or `timeout` elapses.
     fn wait_reply(&mut self, id: RequestId, timeout: Duration) -> Option<Vec<u8>>;
     /// The executed-state digest.
@@ -515,6 +531,9 @@ where
 {
     fn submit(&mut self, op: Vec<u8>) -> RequestId {
         LiveService::submit(self, op)
+    }
+    fn try_reply(&mut self, id: RequestId) -> Option<Vec<u8>> {
+        LiveService::try_reply(self, id)
     }
     fn wait_reply(&mut self, id: RequestId, timeout: Duration) -> Option<Vec<u8>> {
         LiveService::wait_reply(self, id, timeout)
@@ -823,8 +842,8 @@ pub fn cross_validate(trace: &LiveTrace) -> Result<Vec<(ProtocolKind, usize)>, L
 
 /// Server loop options.
 pub struct ServeOptions {
-    /// Exit the accept loop after this long (CI smoke runs); `None`
-    /// serves until a `shutdown` command arrives.
+    /// Stop serving after this long (CI smoke runs); `None` serves until
+    /// a `shutdown` command arrives.
     pub lifetime: Option<Duration>,
     /// How long one request may wait for its commit before the client
     /// gets `err timeout`.
@@ -878,23 +897,178 @@ fn parse_wire_op(parts: &[&str]) -> Result<Option<KvOp>, String> {
     }
 }
 
-/// Handles one request line; the bool says "shut the server down".
-fn handle_line(line: &str, svc: &mut Box<dyn LiveKv>, opts: &ServeOptions) -> (String, bool) {
+/// The longest request line the gateway accepts, newline included. A
+/// connection's input buffer never holds more; a line that does not fit
+/// is answered `err line too long` and its connection is closed. A
+/// connection with this many reply bytes unsent gets no further lines
+/// handled until its peer reads them.
+pub const MAX_LINE_BYTES: usize = 64 * 1024;
+
+/// The longest the gateway (and [`LiveService::wait_reply`]) sleeps after
+/// a poll that made no progress.
+const IDLE_POLL: Duration = Duration::from_millis(1);
+
+/// How long a connection closed for an oversize line keeps draining its
+/// input, so the peer reads the error reply before the reset that unread
+/// input would trigger.
+const CLOSE_LINGER: Duration = Duration::from_secs(1);
+
+/// What starting one request line asked of the gateway.
+enum Started {
+    /// A KV op was submitted for ordering; the reply waits on its commit.
+    Submitted(RequestId),
+    /// The line is answered at once (a digest read or a malformed line).
+    Reply(String),
+    /// `shutdown`: answer `ok bye` and stop serving.
+    Shutdown,
+}
+
+/// Starts one request line: a KV op is submitted to the one ordered
+/// client, everything else is answered without ordering.
+fn start_line(line: &str, svc: &mut dyn LiveKv) -> Started {
     use sofb_proto::codec::Encode as _;
     let parts: Vec<&str> = line.split_ascii_whitespace().collect();
     if parts.first().copied() == Some("shutdown") {
-        return ("ok bye".to_string(), true);
+        return Started::Shutdown;
     }
     match parse_wire_op(&parts) {
-        Ok(Some(op)) => {
-            let id = svc.submit(op.to_bytes());
-            match svc.wait_reply(id, opts.reply_timeout) {
-                Some(reply) => (format!("ok {}", hex_encode(&reply)), false),
-                None => ("err timeout waiting for commit".to_string(), false),
+        Ok(Some(op)) => Started::Submitted(svc.submit(op.to_bytes())),
+        Ok(None) => Started::Reply(format!("ok {}", hex_encode(&svc.state_digest()))),
+        Err(msg) => Started::Reply(format!("err {msg}")),
+    }
+}
+
+/// An op a connection is waiting on.
+struct InFlight {
+    id: RequestId,
+    /// When its line was parsed: the start of its reply timeout and of
+    /// its `live.op_ns` sample.
+    parsed: Instant,
+}
+
+/// One gateway connection: the bytes read but not yet handled, the reply
+/// bytes not yet written, and at most one op in flight — its later lines
+/// wait in `input`, so replies leave in request order.
+struct Conn {
+    stream: TcpStream,
+    input: Vec<u8>,
+    output: Vec<u8>,
+    in_flight: Option<InFlight>,
+    /// The peer closed its side; no more input will arrive.
+    eof: bool,
+    /// A read or write failed; the connection is dropped.
+    broken: bool,
+    /// Closing after an oversize line: input is discarded, and the
+    /// connection is dropped at EOF once the reply is out, or at this
+    /// instant regardless.
+    closing: Option<Instant>,
+}
+
+impl Conn {
+    fn new(stream: TcpStream) -> Self {
+        Conn {
+            stream,
+            input: Vec::new(),
+            output: Vec::new(),
+            in_flight: None,
+            eof: false,
+            broken: false,
+            closing: None,
+        }
+    }
+
+    /// Reads whatever the socket holds, up to a full input buffer; a
+    /// closing connection discards one read's worth per pass, so a peer
+    /// that never stops sending cannot hold the loop. Returns whether
+    /// anything happened.
+    fn read(&mut self) -> bool {
+        let mut buf = [0u8; 4096];
+        let mut progress = false;
+        while !self.eof && !self.broken {
+            let room = match self.closing {
+                Some(_) => buf.len(),
+                None => buf.len().min(MAX_LINE_BYTES - self.input.len()),
+            };
+            if room == 0 {
+                break;
+            }
+            match self.stream.read(&mut buf[..room]) {
+                Ok(0) => self.eof = true,
+                Ok(n) if self.closing.is_none() => self.input.extend_from_slice(&buf[..n]),
+                Ok(_) => {}
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => continue,
+                Err(_) => self.broken = true,
+            }
+            progress = true;
+            if self.closing.is_some() {
+                break;
             }
         }
-        Ok(None) => (format!("ok {}", hex_encode(&svc.state_digest())), false),
-        Err(msg) => (format!("err {msg}"), false),
+        progress
+    }
+
+    /// The next complete request line, newline included; at EOF an
+    /// unterminated remainder is the last line. `Err` is a full buffer
+    /// without a newline: a line longer than [`MAX_LINE_BYTES`].
+    fn next_line(&mut self) -> Option<Result<String, &'static str>> {
+        if self.closing.is_some() {
+            return None;
+        }
+        let end = match self.input.iter().position(|&b| b == b'\n') {
+            Some(newline) => newline + 1,
+            None if self.input.len() >= MAX_LINE_BYTES => return Some(Err("err line too long")),
+            None if self.eof && !self.input.is_empty() => self.input.len(),
+            None => return None,
+        };
+        let line = String::from_utf8_lossy(&self.input[..end]).into_owned();
+        self.input.drain(..end);
+        Some(Ok(line))
+    }
+
+    /// Queues one whole reply line.
+    fn reply(&mut self, line: &str) {
+        self.output.extend_from_slice(line.as_bytes());
+        self.output.push(b'\n');
+    }
+
+    /// Starts closing: no further lines are handled.
+    fn close(&mut self) {
+        self.input = Vec::new();
+        self.closing = Some(Instant::now() + CLOSE_LINGER);
+    }
+
+    /// Writes queued reply bytes until the socket would block; a
+    /// closing connection half-closes once its reply is out. Returns
+    /// whether anything was written.
+    fn flush(&mut self) -> bool {
+        let mut progress = false;
+        while !self.output.is_empty() && !self.broken {
+            match self.stream.write(&self.output) {
+                Ok(0) => self.broken = true,
+                Ok(n) => {
+                    self.output.drain(..n);
+                    progress = true;
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(_) => self.broken = true,
+            }
+        }
+        if progress && self.output.is_empty() && self.closing.is_some() {
+            let _ = self.stream.shutdown(std::net::Shutdown::Write);
+        }
+        progress
+    }
+
+    /// Whether the connection is done and can be dropped.
+    fn finished(&self, now: Instant) -> bool {
+        let drained = self.output.is_empty();
+        match self.closing {
+            _ if self.broken => true,
+            Some(at) => now >= at || (self.eof && drained),
+            None => self.eof && drained && self.input.is_empty() && self.in_flight.is_none(),
+        }
     }
 }
 
@@ -902,9 +1076,20 @@ fn handle_line(line: &str, svc: &mut Box<dyn LiveKv>, opts: &ServeOptions) -> (S
 /// protocol until a `shutdown` command or the configured lifetime, then
 /// shuts the cluster down and returns the recorded run.
 ///
-/// One connection is served at a time (the service gateway is a single
-/// totally-ordered client); the listener stays nonblocking so the
-/// lifetime deadline is honored even while idle.
+/// One thread polls every connection over nonblocking sockets. Each pass
+/// accepts pending connections (with `TCP_NODELAY`), reads what each one
+/// sent, submits its next complete line to the one [`LiveKv`], checks
+/// whether its op committed, and writes its queued replies; a pass that
+/// made no progress sleeps at most 1 ms. Partial lines stay
+/// buffered across passes, lines are capped at [`MAX_LINE_BYTES`], and
+/// each reply goes out as one whole line.
+///
+/// Every connection multiplexes into the same gateway client (client 0),
+/// so the service still has a single totally-ordered submitter and the
+/// recorded trace stays replayable by [`cross_validate`]. A connection
+/// has at most one op in flight, so its replies come back in request
+/// order. An op still in flight when serving stops is answered from the
+/// final run; lines not yet submitted are dropped with their connection.
 pub fn serve(
     listener: TcpListener,
     mut svc: Box<dyn LiveKv>,
@@ -912,67 +1097,109 @@ pub fn serve(
 ) -> std::io::Result<ServeOutcome> {
     listener.set_nonblocking(true)?;
     let deadline = opts.lifetime.map(|d| Instant::now() + d);
-    let expired = |deadline: Option<Instant>| deadline.is_some_and(|at| Instant::now() >= at);
+    let mut conns: Vec<Conn> = Vec::new();
     let mut calls = 0u64;
     let mut stop = false;
-    while !stop && !expired(deadline) {
-        match listener.accept() {
-            Ok((stream, _peer)) => {
-                prof_count("live.accepts", 1);
-                stream.set_nonblocking(false)?;
-                stream.set_read_timeout(Some(Duration::from_millis(200)))?;
-                let mut reader = BufReader::new(stream.try_clone()?);
-                let mut stream = stream;
-                let mut line = String::new();
-                loop {
-                    line.clear();
-                    match reader.read_line(&mut line) {
-                        Ok(0) => break, // connection closed
-                        Ok(_) => {
-                            let (resp, shutdown) = prof_time("live.handle_line_ns", || {
-                                handle_line(line.trim(), &mut svc, opts)
-                            });
-                            calls += 1;
-                            let _ = writeln!(stream, "{resp}");
-                            let _ = stream.flush();
-                            if shutdown {
-                                stop = true;
-                                break;
-                            }
+    while !stop && deadline.is_none_or(|at| Instant::now() < at) {
+        let mut progress = false;
+        loop {
+            match listener.accept() {
+                Ok((stream, _peer)) => {
+                    prof_count("live.accepts", 1);
+                    progress = true;
+                    if stream.set_nonblocking(true).is_ok() && stream.set_nodelay(true).is_ok() {
+                        conns.push(Conn::new(stream));
+                    }
+                }
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => break,
+                Err(e) => return Err(e),
+            }
+        }
+        for conn in &mut conns {
+            progress |= conn.read();
+            loop {
+                if let Some(op) = &conn.in_flight {
+                    let reply = match svc.try_reply(op.id) {
+                        Some(r) => format!("ok {}", hex_encode(&r)),
+                        None if op.parsed.elapsed() >= opts.reply_timeout => {
+                            "err timeout waiting for commit".to_string()
                         }
-                        Err(e)
-                            if e.kind() == std::io::ErrorKind::WouldBlock
-                                || e.kind() == std::io::ErrorKind::TimedOut =>
-                        {
-                            if expired(deadline) {
-                                break;
-                            }
-                        }
-                        Err(_) => break,
+                        None => break,
+                    };
+                    prof_since("live.op_ns", op.parsed);
+                    conn.in_flight = None;
+                    conn.reply(&reply);
+                    calls += 1;
+                    progress = true;
+                }
+                // A peer that sends without reading its replies stops being
+                // read once a line's worth of replies is queued, so neither
+                // buffer grows without bound.
+                if stop || conn.output.len() >= MAX_LINE_BYTES {
+                    break;
+                }
+                let line = match conn.next_line() {
+                    None => break,
+                    Some(Ok(line)) => line,
+                    Some(Err(msg)) => {
+                        conn.reply(msg);
+                        conn.close();
+                        calls += 1;
+                        progress = true;
+                        break;
+                    }
+                };
+                progress = true;
+                let parsed = Instant::now();
+                match start_line(&line, &mut *svc) {
+                    Started::Submitted(id) => conn.in_flight = Some(InFlight { id, parsed }),
+                    Started::Reply(reply) => {
+                        prof_since("live.op_ns", parsed);
+                        conn.reply(&reply);
+                        calls += 1;
+                    }
+                    Started::Shutdown => {
+                        conn.reply("ok bye");
+                        calls += 1;
+                        stop = true;
                     }
                 }
             }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(10));
-            }
-            Err(e) => return Err(e),
+            progress |= conn.flush();
+        }
+        let now = Instant::now();
+        conns.retain(|c| !c.finished(now));
+        if !progress {
+            thread::sleep(IDLE_POLL);
         }
     }
-    Ok(ServeOutcome {
-        run: svc.shutdown(),
-        calls,
-    })
+    let run = svc.shutdown();
+    for conn in &mut conns {
+        if let Some(op) = conn.in_flight.take() {
+            match run.replies.get(&op.id) {
+                Some(r) => conn.reply(&format!("ok {}", hex_encode(r))),
+                None => conn.reply("err timeout waiting for commit"),
+            }
+            calls += 1;
+        }
+        if !conn.output.is_empty() && !conn.broken {
+            let _ = conn.stream.set_nonblocking(false);
+            let _ = conn.stream.set_write_timeout(Some(CLOSE_LINGER));
+            let _ = conn.stream.write_all(&conn.output);
+        }
+    }
+    Ok(ServeOutcome { run, calls })
 }
 
 /// Sends one request line to a live node and returns the raw reply line
-/// (`ok …` / `err …`).
+/// (`ok …` / `err …`). The line leaves in one write on a `TCP_NODELAY`
+/// socket, so neither end's Nagle delay holds part of it back.
 pub fn call(addr: SocketAddr, line: &str, timeout: Duration) -> std::io::Result<String> {
-    let stream = TcpStream::connect_timeout(&addr, timeout)?;
+    let mut stream = TcpStream::connect_timeout(&addr, timeout)?;
+    stream.set_nodelay(true)?;
     stream.set_read_timeout(Some(timeout))?;
     stream.set_write_timeout(Some(timeout))?;
-    let mut writer = stream.try_clone()?;
-    writeln!(writer, "{line}")?;
-    writer.flush()?;
+    stream.write_all(format!("{line}\n").as_bytes())?;
     let mut reader = BufReader::new(stream);
     let mut reply = String::new();
     reader.read_line(&mut reply)?;
@@ -1112,6 +1339,26 @@ mod tests {
         // Malformed inputs are typed errors, not panics.
         assert!(LiveTrace::parse("not a trace").is_err());
         assert!(LiveTrace::parse(&text.replace("kind BFT", "kind XX")).is_err());
+    }
+
+    #[test]
+    fn call_sends_the_whole_line_in_one_segment() {
+        // A loopback peer that reads once and echoes back what that one
+        // read saw: the line and its newline must arrive together.
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().expect("local addr");
+        let echo = thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            let mut buf = [0u8; 256];
+            let n = stream.read(&mut buf).expect("read");
+            let seen = String::from_utf8_lossy(&buf[..n]).into_owned();
+            stream
+                .write_all(format!("ok {seen:?}\n").as_bytes())
+                .expect("echo");
+        });
+        let reply = call(addr, "put 6b 76", Duration::from_secs(10)).expect("call");
+        echo.join().expect("echo thread");
+        assert_eq!(reply, r#"ok "put 6b 76\n""#);
     }
 
     #[test]

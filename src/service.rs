@@ -29,7 +29,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use sofb_app::state_machine::{Executor, StateMachine};
-use sofb_harness::analysis;
+use sofb_harness::analysis::TotalOrderChecker;
 use sofb_harness::{Deployment, Protocol, ProtocolEvent, WorldBuilder};
 use sofb_proto::ids::{ClientId, SeqNo};
 use sofb_proto::request::{Request, RequestId};
@@ -41,7 +41,8 @@ use sofb_sim::time::{SimDuration, SimTime};
 pub(crate) const GATEWAY_NODE: usize = 10_000;
 
 /// The protocol-independent execution side of a replicated service:
-/// request bookkeeping, gap-free prefix execution on a bank of replica
+/// request bookkeeping, the incremental total-order audit of the commit
+/// stream, gap-free prefix execution on a bank of replica
 /// [`Executor`]s, the cross-replica divergence audit, and the reply
 /// table. Both the simulated [`ReplicatedService`] and the wall-clock
 /// [`crate::runtime::LiveService`] drive one of these; only the source
@@ -51,6 +52,8 @@ pub(crate) struct ServiceCore<S> {
     next_seq: u64,
     requests: HashMap<RequestId, Request>,
     executors: Vec<Executor<S>>,
+    /// Total-order audit over every commit staged so far.
+    order: TotalOrderChecker,
     /// Commits seen but not yet executed (waiting for the gap-free
     /// prefix).
     staged: BTreeMap<SeqNo, Arc<[RequestId]>>,
@@ -67,6 +70,7 @@ impl<S: StateMachine> ServiceCore<S> {
             executors: (0..replicas)
                 .map(|_| Executor::new(make_machine()))
                 .collect(),
+            order: TotalOrderChecker::default(),
             staged: BTreeMap::new(),
             replies: HashMap::new(),
         }
@@ -81,13 +85,17 @@ impl<S: StateMachine> ServiceCore<S> {
         req
     }
 
-    /// Stages the member lists of any commit events in `events`.
-    pub(crate) fn stage(&mut self, events: &[TimedEvent<ProtocolEvent>]) {
+    /// Audits `events` — the continuation of every stream staged before —
+    /// for total order, then stages the member lists of their commits.
+    /// An `Err` names the first violation; nothing is staged then.
+    pub(crate) fn stage(&mut self, events: &[TimedEvent<ProtocolEvent>]) -> Result<(), String> {
+        self.order.check(events)?;
         for ev in events {
             if let ProtocolEvent::Committed { o, request_ids, .. } = &ev.event {
                 self.staged.entry(*o).or_insert_with(|| request_ids.clone());
             }
         }
+        Ok(())
     }
 
     /// Executes every newly gap-free batch on all replica executors and
@@ -220,11 +228,11 @@ impl<P: Protocol, S: StateMachine> ReplicatedService<P, S> {
     ///
     /// Panics if replicas diverge (which the ordering layer's safety
     /// property rules out — this is the service-level audit of it) or if
-    /// the ordering layer emitted conflicting commits.
+    /// the ordering layer emitted conflicting commits, in this poll or
+    /// against any earlier one.
     pub fn poll_replies(&mut self) -> &HashMap<RequestId, Vec<u8>> {
         let events = self.deployment.world.drain_events();
-        analysis::check_total_order(&events).expect("ordering layer safety");
-        self.core.stage(&events);
+        self.core.stage(&events).expect("ordering layer safety");
         self.core.execute_ready();
         self.core.replies()
     }

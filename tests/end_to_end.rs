@@ -328,3 +328,216 @@ fn live_trace_cross_validates_against_all_four_simulated_variants() {
         "tampered commit order must fail cross-validation"
     );
 }
+
+// ---------------------------------------------------------------------------
+// Live gateway wire handling: framing across pauses, concurrent
+// connections, bounded lines.
+// ---------------------------------------------------------------------------
+
+use std::io::{BufRead, BufReader, Read, Write};
+use std::net::{SocketAddr, TcpStream};
+use std::time::Instant;
+
+/// Serves a fresh SC node until `shutdown` (no lifetime).
+fn spawn_gateway() -> (SocketAddr, std::thread::JoinHandle<runtime::ServeOutcome>) {
+    let svc = spawn_live_kv(ProtocolKind::Sc, &live_knobs(), 1.0);
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr");
+    let server = std::thread::spawn(move || {
+        runtime::serve(listener, svc, &ServeOptions::default()).expect("serve loop")
+    });
+    (addr, server)
+}
+
+fn connect(addr: SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
+    let stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(20)))
+        .expect("read timeout");
+    let reader = BufReader::new(stream.try_clone().expect("clone"));
+    (stream, reader)
+}
+
+fn read_reply(reader: &mut BufReader<TcpStream>) -> String {
+    let mut reply = String::new();
+    reader.read_line(&mut reply).expect("reply line");
+    reply.trim_end().to_string()
+}
+
+#[test]
+fn live_gateway_keeps_a_line_split_across_a_pause() {
+    let (addr, server) = spawn_gateway();
+    let (mut stream, mut reader) = connect(addr);
+    // `put k1 v1`, with the value arriving well after the command.
+    stream.write_all(b"put 6b31 ").expect("first half");
+    std::thread::sleep(Duration::from_millis(300));
+    stream.write_all(b"7631\n").expect("second half");
+    assert_eq!(read_reply(&mut reader), "ok 4f4b", "the split put executes");
+    stream.write_all(b"get 6b31\n").expect("get");
+    assert_eq!(
+        read_reply(&mut reader),
+        "ok 7631",
+        "and its value is stored"
+    );
+    drop((stream, reader));
+
+    let t = Duration::from_secs(20);
+    assert_eq!(
+        runtime::call(addr, "shutdown", t).expect("shutdown"),
+        "ok bye"
+    );
+    let outcome = server.join().expect("server thread");
+    assert_eq!(
+        outcome.run.trace.ops.len(),
+        2,
+        "one put and one get, nothing else"
+    );
+    assert_eq!(outcome.run.executed_ops, 2);
+}
+
+#[test]
+fn live_gateway_idle_connection_does_not_delay_another() {
+    let (addr, server) = spawn_gateway();
+    // Opened first and never written to: with no lifetime, a gateway that
+    // served one connection at a time would wait on it forever.
+    let idle = TcpStream::connect(addr).expect("idle connect");
+    let t = Duration::from_secs(5);
+    let started = Instant::now();
+    let put = runtime::call(
+        addr,
+        &runtime::wire_line("put", &["a".into(), "1".into()]),
+        t,
+    )
+    .expect("put beside an idle connection");
+    assert_eq!(put, "ok 4f4b");
+    assert!(
+        started.elapsed() < t,
+        "round trip took {:?}",
+        started.elapsed()
+    );
+    assert_eq!(
+        runtime::call(addr, "shutdown", t).expect("shutdown"),
+        "ok bye"
+    );
+    let outcome = server.join().expect("server thread");
+    assert_eq!(outcome.run.trace.commit_order.len(), 1);
+    drop(idle);
+}
+
+#[test]
+fn live_gateway_rejects_an_oversize_line_and_keeps_serving() {
+    let (addr, server) = spawn_gateway();
+    let (mut stream, mut reader) = connect(addr);
+    // Far larger than the socket buffers: the client is still writing
+    // when the gateway answers, so the gateway must drain the rest before
+    // it closes, or the reset would fail this write and lose the reply.
+    let mut line = vec![b'a'; 64 * runtime::MAX_LINE_BYTES];
+    line.push(b'\n');
+    stream.write_all(&line).expect("oversize line");
+    assert_eq!(read_reply(&mut reader), "err line too long");
+    let mut rest = Vec::new();
+    reader
+        .read_to_end(&mut rest)
+        .expect("the gateway closes the connection");
+    assert!(rest.is_empty(), "nothing follows the error: {rest:?}");
+    drop((stream, reader));
+
+    let t = Duration::from_secs(20);
+    let put = runtime::call(
+        addr,
+        &runtime::wire_line("put", &["k".into(), "v".into()]),
+        t,
+    )
+    .expect("put on a fresh connection");
+    assert_eq!(put, "ok 4f4b");
+    assert_eq!(
+        runtime::call(addr, "shutdown", t).expect("shutdown"),
+        "ok bye"
+    );
+    let outcome = server.join().expect("server thread");
+    assert_eq!(
+        outcome.run.trace.ops.len(),
+        1,
+        "the oversize line submitted nothing"
+    );
+}
+
+#[test]
+fn live_gateway_serves_concurrent_connections_in_request_order() {
+    let (addr, server) = spawn_gateway();
+    // Two connections, each pipelining all its requests at once: every
+    // connection's replies come back in its own request order, and both
+    // are served side by side through the one ordered client.
+    let workers: Vec<_> = (0..2)
+        .map(|c| {
+            std::thread::spawn(move || {
+                let (mut stream, mut reader) = connect(addr);
+                let mut batch = String::new();
+                for i in 0..5 {
+                    let key = format!("c{c}");
+                    let value = format!("{i}");
+                    batch.push_str(&runtime::wire_line("put", &[key.clone(), value]));
+                    batch.push('\n');
+                    batch.push_str(&runtime::wire_line("get", &[key]));
+                    batch.push('\n');
+                }
+                stream
+                    .write_all(batch.as_bytes())
+                    .expect("pipelined requests");
+                (0..5)
+                    .map(|i| {
+                        assert_eq!(read_reply(&mut reader), "ok 4f4b", "conn {c} put {i}");
+                        let got = runtime::decode_reply(&read_reply(&mut reader));
+                        assert_eq!(got, Ok(format!("{i}").into_bytes()), "conn {c} get {i}");
+                    })
+                    .count()
+            })
+        })
+        .collect();
+    for w in workers {
+        assert_eq!(w.join().expect("client thread"), 5);
+    }
+    let t = Duration::from_secs(20);
+    assert_eq!(
+        runtime::call(addr, "shutdown", t).expect("shutdown"),
+        "ok bye"
+    );
+    let outcome = server.join().expect("server thread");
+    assert_eq!(outcome.calls, 21);
+    assert_eq!(outcome.run.trace.ops.len(), 20);
+    assert_eq!(outcome.run.trace.commit_order.len(), 20);
+    runtime::cross_validate(&outcome.run.trace).expect("multiplexed trace cross-validates");
+}
+
+#[test]
+fn live_gateway_answers_a_pipelined_burst_to_a_slow_reader() {
+    let (addr, server) = spawn_gateway();
+    let (mut stream, mut reader) = connect(addr);
+    // Far more reply bytes than the gateway queues per connection: it
+    // must stop handling lines while the replies sit unread, then resume,
+    // answering every line in order.
+    const LINES: usize = 50_000;
+    let writer = std::thread::spawn(move || {
+        stream
+            .write_all("digest\n".repeat(LINES).as_bytes())
+            .expect("pipelined burst");
+        stream
+    });
+    // Let the replies pile up before reading any.
+    std::thread::sleep(Duration::from_millis(200));
+    let first = read_reply(&mut reader);
+    assert!(first.starts_with("ok "), "{first}");
+    for i in 1..LINES {
+        assert_eq!(read_reply(&mut reader), first, "reply {i}");
+    }
+    drop((writer.join().expect("writer thread"), reader));
+
+    let t = Duration::from_secs(20);
+    assert_eq!(
+        runtime::call(addr, "shutdown", t).expect("shutdown"),
+        "ok bye"
+    );
+    let outcome = server.join().expect("server thread");
+    assert_eq!(outcome.calls, LINES as u64 + 1);
+}
