@@ -1,14 +1,16 @@
 //! A counting [`GlobalAlloc`] wrapper for zero-allocation assertions.
 //!
 //! Wraps the [`System`] allocator and counts every `alloc`/`realloc`
-//! call with a relaxed atomic. Install it in a test binary with
+//! call, and the bytes those calls request, with relaxed atomics.
+//! Install it in a test binary with
 //!
 //! ```ignore
 //! #[global_allocator]
 //! static ALLOC: alloc_counter::CountingAlloc = alloc_counter::CountingAlloc::new();
 //! ```
 //!
-//! and bracket the region under test with [`allocations`] snapshots.
+//! and bracket the region under test with [`allocations`] or
+//! [`allocated_bytes`] snapshots.
 //! The counter is process-global, so a test binary that asserts exact
 //! counts must run exactly one such test (Cargo runs tests in one
 //! process, concurrently) — keep one `#[test]` per asserting binary.
@@ -24,10 +26,24 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
+static BYTES: AtomicU64 = AtomicU64::new(0);
 
 /// Total `alloc` + `realloc` calls since process start.
 pub fn allocations() -> u64 {
     ALLOCS.load(Ordering::Relaxed)
+}
+
+/// Total bytes requested since process start: each `alloc`'s size plus
+/// each `realloc`'s growth (a shrinking `realloc` adds nothing). Frees
+/// are not subtracted, so this bounds what a region asked for, not what
+/// it still holds.
+pub fn allocated_bytes() -> u64 {
+    BYTES.load(Ordering::Relaxed)
+}
+
+fn count(bytes: usize) {
+    ALLOCS.fetch_add(1, Ordering::Relaxed);
+    BYTES.fetch_add(bytes as u64, Ordering::Relaxed);
 }
 
 /// A `System`-backed allocator that counts allocation calls.
@@ -41,11 +57,11 @@ impl CountingAlloc {
     }
 }
 
-// SAFETY: defers entirely to `System`; the counter bump cannot
+// SAFETY: defers entirely to `System`; the counter bumps cannot
 // allocate or unwind.
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         System.alloc(layout)
     }
 
@@ -54,12 +70,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(new_size.saturating_sub(layout.size()));
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCS.fetch_add(1, Ordering::Relaxed);
+        count(layout.size());
         System.alloc_zeroed(layout)
     }
 }

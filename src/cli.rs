@@ -192,8 +192,9 @@ replaced by real calls):
                        every commit order matches the live run
     --profile          sample wall-clock timings (node drive callbacks,
                        per-op gateway time from parsed line to queued
-                       reply, commit application, accepts) and print the
-                       metrics snapshot at shutdown
+                       reply, commit application), count accepts and
+                       full-mailbox drops, and print the metrics snapshot
+                       at shutdown
 
 call — one request against a serving node; plain-text arguments are
 hex-encoded on the wire:

@@ -7,10 +7,12 @@
 //! regeneration, but the protocols themselves are plain [`Actor`] state
 //! machines and run equally well on real time. Three layers live here:
 //!
-//! * [`ThreadedHost`] — one OS thread per node, crossbeam channels as
-//!   the network, a per-node timer map driven by `Instant`. Protocol
-//!   timer delays are stretched by `time_scale`; whatever the crypto
-//!   provider actually computes takes however long it takes on the host.
+//! * [`ThreadedHost`] — one OS thread per node, bounded crossbeam
+//!   mailboxes as the network (at most `MAILBOX_CAP` queued messages
+//!   each, allocated as they queue), a per-node timer map driven by
+//!   `Instant`. Protocol timer delays are stretched by `time_scale`;
+//!   whatever the crypto provider actually computes takes however long
+//!   it takes on the host.
 //! * [`LiveService`] — a `ServiceCore` (the same execution bookkeeping
 //!   as the simulated [`ReplicatedService`](crate::service::ReplicatedService))
 //!   fed by a `ThreadedHost` instead of a simulated world, behind the
@@ -40,7 +42,7 @@ use std::thread;
 use std::time::{Duration, Instant};
 
 use bytes::Bytes;
-use crossbeam::channel::{bounded, Receiver, Sender};
+use crossbeam::channel::{bounded, Receiver, Sender, TrySendError};
 use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -76,9 +78,14 @@ static PROFILING: AtomicBool = AtomicBool::new(false);
 /// Turns the live profiler on for the rest of the process: node drive
 /// callbacks (`live.node_drive_ns`), gateway ops from parsed request line
 /// to queued reply, commit wait included (`live.op_ns`), commit
-/// application (`live.commit_apply_ns`) and connection accepts
-/// (`live.accepts`) start sampling into the shared registry.
+/// application (`live.commit_apply_ns`), connection accepts
+/// (`live.accepts`) and messages dropped on a full node mailbox
+/// (`live.mailbox_full_drops`, registered at once so a run without drops
+/// reports 0) start sampling into the shared registry.
 pub fn enable_profiling() {
+    PROFILER
+        .get_or_init(MetricsRegistry::new)
+        .counter("live.mailbox_full_drops");
     PROFILING.store(true, Ordering::Relaxed);
 }
 
@@ -137,6 +144,21 @@ enum Input<M> {
     Shutdown,
 }
 
+/// How many messages a node's mailbox may hold at once. This is a limit,
+/// not storage: the mailbox allocates as its backlog grows. A message
+/// sent to a full mailbox is dropped, like a packet on a congested link,
+/// and counted as `live.mailbox_full_drops` when profiling is on.
+const MAILBOX_CAP: usize = 65_536;
+
+/// Delivers `msg` to a node's mailbox without blocking. A full mailbox
+/// drops it and counts the drop; a mailbox whose node already stopped
+/// (shutdown) drops it silently.
+fn post<M>(tx: &Sender<Input<M>>, from: usize, msg: M) {
+    if let Err(TrySendError::Full(_)) = tx.try_send(Input::Net { from, msg }) {
+        prof_count("live.mailbox_full_drops", 1);
+    }
+}
+
 /// A running threaded deployment.
 pub struct ThreadedHost<M, E> {
     senders: Vec<Sender<Input<M>>>,
@@ -181,7 +203,7 @@ where
         let mut senders: Vec<Sender<Input<M>>> = Vec::with_capacity(n);
         let mut receivers: Vec<Receiver<Input<M>>> = Vec::with_capacity(n);
         for _ in 0..n {
-            let (tx, rx) = bounded(65_536);
+            let (tx, rx) = bounded(MAILBOX_CAP);
             senders.push(tx);
             receivers.push(rx);
         }
@@ -208,7 +230,7 @@ where
                         }
                         for (to, msg) in outputs.sends {
                             if let Some(tx) = peers.get(to) {
-                                let _ = tx.try_send(Input::Net { from: idx, msg });
+                                post(tx, idx, msg);
                             }
                         }
                         for req in outputs.timers {
@@ -267,7 +289,7 @@ where
     /// Injects a message to `to` as if from node `from`.
     pub fn inject(&self, to: usize, from: usize, msg: M) {
         if let Some(tx) = self.senders.get(to) {
-            let _ = tx.try_send(Input::Net { from, msg });
+            post(tx, from, msg);
         }
     }
 
@@ -1297,6 +1319,25 @@ mod tests {
             !commits.is_empty(),
             "threaded deployment must commit batches (got none)"
         );
+    }
+
+    #[test]
+    fn full_mailbox_drops_are_counted_and_shutdown_drops_are_not() {
+        enable_profiling();
+        let drops = || {
+            profile_snapshot()
+                .and_then(|s| s.counter("live.mailbox_full_drops"))
+                .expect("the drop counter is registered when profiling starts")
+        };
+        let before = drops();
+        let (tx, rx) = bounded::<Input<u8>>(1);
+        post(&tx, 0, 1);
+        assert_eq!(drops(), before, "a mailbox with room takes the message");
+        post(&tx, 0, 2);
+        assert_eq!(drops(), before + 1, "a full mailbox drop is counted");
+        drop(rx);
+        post(&tx, 0, 3);
+        assert_eq!(drops(), before + 1, "a stopped node's drop is silent");
     }
 
     #[test]
