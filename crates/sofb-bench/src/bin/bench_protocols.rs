@@ -19,10 +19,12 @@
 //!
 //! `--check` regenerates the measurements in memory and fails (exit 1)
 //! if any throughput/latency/msgs-per-batch value drifts from the
-//! committed file by more than 1e-9 — the CI determinism gate. `wall_ms`
-//! and the host-performance sections (events/sec, sim-seconds per
-//! wall-second, allocs/event) are machine-dependent and excluded: only
-//! the keys listed in `extract_metrics` are gated.
+//! committed file by more than 1e-9, or if any row's deterministic
+//! engine counters (events processed, heap pushes, arena high water)
+//! differ at all — the CI determinism gate. `wall_ms` and the
+//! host-performance rates (events/sec, sim-seconds per wall-second,
+//! allocs/event) are machine-dependent and excluded: only the keys
+//! listed in `MEASURED` and `COUNTERS` are gated.
 
 /// Counting allocator: the `allocs_per_event` host counter is the whole
 /// process's allocation count over the whole measurement, divided by
@@ -47,6 +49,21 @@ use sofbyz::scenario::{run_grid, run_observed, GridPoint};
 
 /// Metric drift beyond this fails `--check`.
 const TOLERANCE: f64 = 1e-9;
+
+/// Gated measurements: drift beyond [`TOLERANCE`] fails `--check`.
+const MEASURED: [&str; 6] = [
+    "throughput_req_per_proc_s",
+    "aggregate_throughput_req_s",
+    "mean",
+    "p50",
+    "p99",
+    "msgs_per_batch",
+];
+
+/// Gated engine counters: seed-determined, so any difference fails
+/// `--check`. They pin the realized schedule itself — an extra event per
+/// batch shows up here even when the latency summary does not move.
+const COUNTERS: [&str; 3] = ["events_processed", "heap_pushes", "arena_high_water"];
 
 fn json_num(v: Option<f64>) -> String {
     match v {
@@ -218,8 +235,8 @@ fn measure_parallel() -> Vec<ScalingRow> {
 }
 
 /// Renders one row's host-performance object: deterministic engine
-/// counters plus wall-derived rates. Everything here is excluded from
-/// the `--check` gate (none of its keys appear in `extract_metrics`).
+/// counters (gated exactly by `--check`, see [`COUNTERS`]) plus
+/// wall-derived rates (not gated).
 fn render_row_host(body: &mut String, engine: EngineCounters, wall_ms: f64) {
     let host = HostCounters {
         engine,
@@ -356,10 +373,10 @@ fn render(
         .unwrap();
     }
     writeln!(body, "  ]}},").unwrap();
-    // Parallel-scaling section: every key here is host-dependent or a
-    // raw engine counter, none is gated by `extract_metrics` (and no
-    // `"name"` lines appear, so the variant prefix is untouched) — the
-    // section can move with the machine while --check stays exact.
+    // Parallel-scaling section: apart from the exactly gated
+    // `events_processed` (keyed by its `world_workers` line), every key
+    // here is host-dependent and ungated — the section can move with the
+    // machine while --check stays exact.
     writeln!(
         body,
         "  \"parallel_scaling\": {{\"shards\": {MILLION_SHARDS}, \
@@ -455,9 +472,11 @@ fn parallel_speedup(scaling: &[ScalingRow]) -> f64 {
     }
 }
 
-/// Pulls `"key": value` numbers out of the committed JSON (the emitter
-/// above is the only writer, so line-based extraction is sufficient —
-/// no JSON dependency needed).
+/// Pulls the gated `"key": value` numbers out of the committed JSON,
+/// each keyed by its row (the emitter above is the only writer, so
+/// line-based extraction is sufficient — no JSON dependency needed).
+/// A row starts at its `"name"` line, or at its `"world_workers"` line
+/// in the parallel-scaling section.
 fn extract_metrics(json: &str) -> Vec<(String, f64)> {
     let mut out = Vec::new();
     let mut variant = String::new();
@@ -467,14 +486,11 @@ fn extract_metrics(json: &str) -> Vec<(String, f64)> {
             variant = rest.trim_end_matches(['"', ','].as_slice()).to_string();
             continue;
         }
-        for key in [
-            "throughput_req_per_proc_s",
-            "aggregate_throughput_req_s",
-            "mean",
-            "p50",
-            "p99",
-            "msgs_per_batch",
-        ] {
+        if let Some(rest) = line.strip_prefix("\"world_workers\": ") {
+            variant = format!("world_workers={}", rest.trim_end_matches(','));
+            continue;
+        }
+        for key in MEASURED.iter().chain(&COUNTERS) {
             let Some(rest) = line.strip_prefix(&format!("\"{key}\": ")) else {
                 continue;
             };
@@ -516,7 +532,12 @@ fn check(
         if wk != gk {
             return Err(format!("metric order mismatch: {wk} vs {gk}"));
         }
-        let same = (wv.is_nan() && gv.is_nan()) || (wv - gv).abs() <= TOLERANCE;
+        let exact = COUNTERS.iter().any(|c| wk.ends_with(&format!(".{c}")));
+        let same = if exact {
+            wv == gv
+        } else {
+            (wv.is_nan() && gv.is_nan()) || (wv - gv).abs() <= TOLERANCE
+        };
         if !same {
             drifts.push(format!("  {wk}: committed {wv} vs regenerated {gv}"));
         }
@@ -525,7 +546,7 @@ fn check(
         Ok(())
     } else {
         Err(format!(
-            "{} metric(s) drifted beyond {TOLERANCE}:\n{}",
+            "{} metric(s) drifted (measurements beyond {TOLERANCE}, counters at all):\n{}",
             drifts.len(),
             drifts.join("\n")
         ))

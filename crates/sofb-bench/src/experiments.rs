@@ -218,7 +218,7 @@ mod tests {
         );
     }
 
-    /// Every variant runs sharded through the one sharded code path, and
+    /// Every variant runs sharded through the one scenario runner, and
     /// the rollup's global percentiles cover every shard's commits.
     #[test]
     fn all_four_kinds_run_sharded() {

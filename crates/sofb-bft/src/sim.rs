@@ -20,12 +20,6 @@ use sofb_core::events::ScEvent;
 use crate::messages::BftMsg;
 use crate::process::{BftConfig, BftProcess};
 
-pub use sofb_harness::{ShardLoad, ShardRouter, ShardedDeployment, ShardedWorldBuilder};
-
-/// A sharded BFT deployment: `S` independent BFT ordering groups in one
-/// world, assembled by [`ShardedWorldBuilder`].
-pub type ShardedBftWorld = ShardedDeployment<BftProtocol>;
-
 /// Scripted BFT misbehaviours expressible through the uniform
 /// [`FaultSpec`] plan.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]

@@ -27,15 +27,7 @@ use crate::process::ScProcess;
 // is the same struct as `sofb_harness::ClientSpec`, re-exported here only
 // so historical call sites keep compiling. New code should name the
 // harness path (or go through `Scenario`).
-pub use sofb_harness::{
-    Arrival, ClientActor, ClientSpec, RouterConfigError, ShardLoad, ShardRouter, ShardedDeployment,
-    ShardedWorldBuilder,
-};
-
-/// A sharded SC/SCR deployment: `S` independent SC ordering groups in
-/// one world (choose SC vs SCR via
-/// [`ShardedWorldBuilder::variant`]).
-pub type ShardedScWorld = ShardedDeployment<ScProtocol>;
+pub use sofb_harness::{Arrival, ClientActor, ClientSpec};
 
 /// The SC/SCR protocol, as hosted by the generic harness.
 ///

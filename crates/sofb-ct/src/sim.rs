@@ -13,12 +13,6 @@ use sofb_core::events::ScEvent;
 use crate::messages::CtMsg;
 use crate::process::{CtConfig, CtProcess};
 
-pub use sofb_harness::{ShardLoad, ShardRouter, ShardedDeployment, ShardedWorldBuilder};
-
-/// A sharded CT deployment: `S` independent CT ordering groups in one
-/// world, assembled by [`ShardedWorldBuilder`].
-pub type ShardedCtWorld = ShardedDeployment<CtProtocol>;
-
 /// CT tolerates crash faults only, so it has no scripted Byzantine
 /// misbehaviours — the uniform crash/mute/delay faults are the whole
 /// plan. (Uninhabited: a `FaultSpec::Byzantine` cannot be constructed.)

@@ -6,24 +6,25 @@
 //! * [`protocol::Protocol`] — what a total-order protocol must provide to
 //!   be hosted: a wire message type, node construction from shared
 //!   [`protocol::Knobs`], a network shape, and a request constructor;
-//! * [`builder::WorldBuilder`] — the single world-assembly code path:
-//!   every deployment of every variant (SC, SCR, BFT, CT) is built here;
-//! * [`shard::ShardedWorldBuilder`] — the sharded layer above it: `S`
-//!   independent ordering groups of any protocol in one world, with a
-//!   key-based [`shard::ShardRouter`] (hash or explicit ranges) spreading
-//!   client requests over the groups;
+//! * [`builder::WorldBuilder`] — hand assembly of one flat deployment
+//!   of any variant (SC, SCR, BFT, CT), the reference the golden and
+//!   equivalence tests compare scenario runs against;
+//! * [`shard::ShardRouter`] — key-based request routing (hash or
+//!   explicit ranges) over the `S` independent ordering groups of a
+//!   sharded scenario;
 //! * [`client::ClientActor`] — the one synthetic client implementation,
 //!   with constant-rate or open-loop Poisson arrivals, multicasting to
-//!   its flat world or routing per request across shards;
+//!   its flat world or, in each shard engine, to the requests routed
+//!   there;
 //! * [`population::ClientPopulation`] — N open-loop clients aggregated
 //!   into one actor by Poisson superposition (aggregate rate N·λ,
 //!   per-client ids synthesized deterministically at emission), so a
 //!   shard carries 10⁵–10⁶ simulated users at O(1) actor cost;
-//! * `parallel` (internal) — the parallel sharded runner: each shard of
-//!   a multi-shard [`scenario::Scenario`] executes in its own isolated
-//!   engine on a worker thread, and the per-shard traces merge into the
-//!   realized global schedule deterministically (1 worker ≡ N workers,
-//!   bit for bit — see `Scenario::world_workers`);
+//! * `parallel` (internal) — the one scenario runner: each shard of a
+//!   [`scenario::Scenario`] executes in its own isolated engine (a flat
+//!   world is one shard), on up to `world_workers` threads, and the
+//!   per-shard traces merge into the realized global schedule
+//!   deterministically (1 worker ≡ N workers, bit for bit);
 //! * [`fault::FaultSpec`] — the uniform fault plan: crash, mute and
 //!   delayed faults work on every variant (the engine applies them);
 //!   Byzantine scripts remain protocol-specific via
@@ -37,9 +38,9 @@
 //!   instants) derived deterministically from the observation log, the
 //!   harness half of the `sofb-obs` tracing story (the engine half lives
 //!   behind `sofb-sim`'s `TraceSink` hooks);
-//! * [`scenario`] — the declarative layer on top of both builders: a
-//!   validated [`scenario::Scenario`] value lowers onto the flat or
-//!   sharded path and yields a uniform [`scenario::Report`], and a
+//! * [`scenario`] — the declarative layer: a validated
+//!   [`scenario::Scenario`] value runs through that runner and yields a
+//!   uniform [`scenario::Report`], and a
 //!   [`scenario::SweepGrid`] expands axes over any scenario field into a
 //!   deterministic, parallel-executed experiment matrix.
 //!
@@ -74,6 +75,4 @@ pub use scenario::{
     Axis, ClientLoad, GridPoint, GridReport, LatencySummary, ObservedRun, Report, RouterPolicy,
     Scenario, ScenarioError, ScenarioFault, ScenarioFaultKind, ShardReport, SweepGrid, Window,
 };
-pub use shard::{
-    RouterConfigError, ShardLoad, ShardRouter, ShardedDeployment, ShardedWorldBuilder,
-};
+pub use shard::{RouterConfigError, ShardLoad, ShardRouter};

@@ -1,16 +1,26 @@
-//! Parallel shard execution with a deterministic trace merge.
+//! The one way a scenario runs: `S` isolated shard engines and a
+//! deterministic merge.
 //!
 //! Shards of a multi-shard world never exchange messages — only client
 //! traffic crosses shard boundaries, and in this harness clients are
 //! source actors, not relays. Each shard is therefore an independent
-//! discrete-event system and can run in its own [`World`] on a worker
-//! thread. The runner builds one isolated engine per shard (seeded by
-//! the same `shard_seed` schedule the shared-world builder uses), hosts
-//! one slice replica of every client in it (see
+//! discrete-event system (the degenerate, event-free case of
+//! conservative parallel simulation) and runs in its own [`World`]. The
+//! runner builds one engine per shard (seeded by `shard_seed`), hosts one
+//! slice replica of every client in it (see
 //! [`Destinations::Slice`](crate::client::Destinations)), executes the
 //! shards on up to `world_workers` threads, and k-way-merges the
 //! per-shard traces by the stable `(time, shard)` key into the realized
-//! global schedule.
+//! global schedule. A flat world is `S = 1`: one engine assembled exactly
+//! like [`WorldBuilder`](crate::builder::WorldBuilder)'s, whose log is
+//! moved through unmerged.
+//!
+//! Node numbering of the merged outputs: shard `s`'s processes are
+//! `s·n .. (s+1)·n`, and client `j` is `S·n + j`. Every shard engine
+//! hosts a replica of each client, so only shard 0's client records are
+//! kept; the others would repeat them under colliding indices. (Under
+//! Poisson arrivals each replica draws its gaps from its own engine's
+//! RNG, so those records show shard 0's replica timeline.)
 //!
 //! Determinism: each shard's schedule is a pure function of the
 //! scenario and its shard seed, computed entirely inside its own
@@ -48,17 +58,22 @@ struct ShardRun {
     messages_sent: u64,
 }
 
-/// Runs a validated multi-shard scenario on isolated per-shard engines
-/// and merges the results. Caller guarantees `scenario.shards > 1` and
-/// `scenario.world_workers >= 1` (the dispatch in `run_traced_as`).
-pub(crate) fn run_world_parallel<P: Protocol>(
+/// Runs a validated scenario on its per-shard engines and merges the
+/// results (plus, when tracing, the derived protocol phase records).
+pub(crate) fn run_world<P: Protocol>(
     scenario: &Scenario,
     enforce_safety: bool,
     trace: Option<&TraceConfig>,
 ) -> Result<ObservedRun, ScenarioError> {
     let n = P::node_count(&scenario.knobs);
     let shards = scenario.shards;
-    let router = scenario.router.build(shards)?;
+    // A flat world routes every request to its one shard, whatever the
+    // (then unused) router policy names.
+    let router = if shards == 1 {
+        ShardRouter::hash(1)
+    } else {
+        scenario.router.build(shards)?
+    };
 
     // Pre-lower the fault plan — the only fallible per-shard step — so
     // the worker threads are infallible.
@@ -76,9 +91,6 @@ pub(crate) fn run_world_parallel<P: Protocol>(
     runs.resize_with(shards, || None);
 
     if threads <= 1 {
-        // One worker: the same per-shard path, inline — which is what
-        // makes `world_workers == 1` the determinism anchor N-worker
-        // runs are compared against.
         for (s, slot) in runs.iter_mut().enumerate() {
             *slot = Some(run_shard::<P>(scenario, s, n, &router, &faults, trace));
         }
@@ -129,56 +141,60 @@ pub(crate) fn run_world_parallel<P: Protocol>(
         engines.push(run.counters);
         metrics.absorb(&run.metrics);
         messages_sent += run.messages_sent;
-        // Re-stamp local node indices into the global namespace (shard
-        // `s`'s processes live at base `s·n`, matching the shared-world
-        // layout). Only process nodes emit events; a shard engine's
-        // client replicas (local nodes ≥ n) never do.
+        // Local node `i` of shard `s` in the merged numbering (see the
+        // module docs); `None` for another shard's client replicas. With
+        // one shard this is the identity.
+        let global = |i: usize| match i.checked_sub(n) {
+            None => Some(s * n + i),
+            Some(j) => (s == 0).then_some(shards * n + j),
+        };
         shard_events.push(
             run.events
                 .into_iter()
-                .filter(|ev| ev.node < n)
-                .map(|ev| TimedEvent {
-                    node: s * n + ev.node,
-                    ..ev
-                })
+                .filter_map(|ev| global(ev.node).map(|node| TimedEvent { node, ..ev }))
                 .collect(),
         );
-        // Trace records get the same restamping as events. Client-replica
-        // records (local node ≥ n) are dropped — each shard engine hosts
-        // its own replica of every client, so keeping them would record
-        // each client `shards` times under colliding indices. Records are
-        // concatenated in shard order: deterministic for every worker
-        // count, which is all the byte-identity contract needs.
+        // Records are concatenated in shard order: deterministic for
+        // every worker count, which is all the byte-identity contract
+        // needs.
         records.extend(
             run.trace
                 .into_iter()
-                .filter(|rec| rec.node < n)
-                .map(|rec| TraceRecord {
-                    node: s * n + rec.node,
-                    ..rec
-                })
-                // The config's node filter names *global* indices, so it
+                .filter_map(|rec| global(rec.node).map(|node| TraceRecord { node, ..rec }))
+                // The config's node filter names merged indices, so it
                 // was stripped from the in-shard sink and applies here,
                 // after restamping (see `run_shard`).
                 .filter(|rec| trace.is_none_or(|cfg| cfg.keep(rec))),
         );
     }
 
-    let merged = merge_traces(&shard_events);
-    let refs: Vec<&[TimedEvent<ProtocolEvent>]> =
-        shard_events.iter().map(|v| v.as_slice()).collect();
+    // One shard's log already is the global schedule: move it instead
+    // of copying it through the merge.
+    let events = if shards == 1 {
+        shard_events.pop().unwrap_or_default()
+    } else {
+        merge_traces(&shard_events)
+    };
+    let refs: Vec<&[TimedEvent<ProtocolEvent>]> = if shards == 1 {
+        vec![&events]
+    } else {
+        shard_events.iter().map(Vec::as_slice).collect()
+    };
     let report = summarize(
         &refs,
-        &merged,
+        &events,
         scenario.window,
         messages_sent,
         &engines,
         metrics,
         enforce_safety,
     );
+    if let Some(cfg) = trace {
+        crate::obs::push_phase_records(&mut records, &events, n, cfg);
+    }
     Ok(ObservedRun {
         report,
-        events: merged,
+        events,
         records,
     })
 }
@@ -193,10 +209,10 @@ fn run_shard<P: Protocol>(
     faults: &[(usize, ProcessId, FaultSpec<P::Byz>)],
     trace: Option<&TraceConfig>,
 ) -> ShardRun {
-    // The shard's knob set and network are exactly the shared-world
-    // builder's: seed decorrelated per shard, the protocol's own link
-    // shape (whose default already joins everything over the LAN, which
-    // is all the local client replicas need).
+    // Assembled in `WorldBuilder`'s order (nodes → clients → fault
+    // plan): seed decorrelated per shard, the protocol's own link shape
+    // (whose default already joins everything over the LAN, which is
+    // all the local client replicas need).
     let mut knobs = scenario.knobs.clone();
     knobs.seed = shard_seed(scenario.knobs.seed, s);
     let net = P::network(&knobs, &scenario.links);
@@ -264,7 +280,7 @@ fn run_shard<P: Protocol>(
 
     if let Some(cfg) = trace {
         // The in-shard sink filters by name and sample rate only; the
-        // node filter names global indices and is applied by the caller
+        // node filter names merged indices and is applied by the caller
         // after restamping.
         let local = TraceConfig {
             nodes: None,

@@ -162,8 +162,8 @@ pub trait Protocol {
     type Msg: Clone + WireSize + fmt::Debug + 'static;
     /// Scripted Byzantine misbehaviours this protocol supports
     /// (an uninhabited enum if none). `Send + Sync` because a fault
-    /// plan is shared by reference with the per-shard worker threads of
-    /// a parallel world (see `Scenario::world_workers`).
+    /// plan is shared by reference with the shard engines' worker
+    /// threads (see `Scenario::world_workers`).
     type Byz: Clone + fmt::Debug + Send + Sync + 'static;
 
     /// Display name ("SC", "BFT", …).

@@ -7,12 +7,13 @@
 //! network/CPU models, a fault plan with pre/post-GST windows, the
 //! measurement window and the seed. [`Scenario::validate`] rejects
 //! malformed specs with typed [`ScenarioError`]s (never a panic);
-//! [`Scenario::run_as`] lowers a valid spec onto the existing builders —
-//! `shards == 1` onto the flat [`WorldBuilder`] path, `shards > 1` onto
-//! [`ShardedWorldBuilder`] — runs the world and summarizes the
-//! observation log into a uniform [`Report`]. A one-shard scenario
-//! realizes the *bit-identical* event trace of the legacy flat builder
-//! (pinned by the golden-equivalence tests).
+//! [`Scenario::run_as`] runs a valid spec as `shards` isolated shard
+//! engines on up to `world_workers` threads, merges their logs
+//! deterministically and summarizes them into a uniform [`Report`]. A
+//! flat world is simply `shards == 1`, and it realizes the
+//! *bit-identical* event trace of the flat
+//! [`WorldBuilder`](crate::builder::WorldBuilder) (pinned by the
+//! golden-equivalence tests).
 //!
 //! On top of the spec sits the [`SweepGrid`] engine: declare [`Axis`]
 //! values over any scenario field, take the cartesian product, replicate
@@ -33,7 +34,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use sofb_crypto::scheme::SchemeId;
-use sofb_obs::{MemSink, MetricsSnapshot, TraceConfig, TraceRecord};
+use sofb_obs::{MetricsSnapshot, TraceConfig, TraceRecord};
 use sofb_proto::ids::{ProcessId, SeqNo};
 use sofb_proto::topology::Variant;
 use sofb_sim::cpu::CpuModel;
@@ -43,12 +44,11 @@ use sofb_sim::metrics::{EngineCounters, GroupRollup};
 use sofb_sim::time::{SimDuration, SimTime};
 
 use crate::analysis;
-use crate::builder::WorldBuilder;
-use crate::client::{Arrival, ClientSpec};
+use crate::client::Arrival;
 use crate::event::ProtocolEvent;
 use crate::fault::FaultSpec;
 use crate::protocol::{Knobs, Links, Protocol, ProtocolKind};
-use crate::shard::{RouterConfigError, ShardLoad, ShardRouter, ShardedWorldBuilder};
+use crate::shard::{RouterConfigError, ShardLoad, ShardRouter};
 
 /// Measurement window for one scenario run: clients stop issuing at
 /// `run_s`, the world keeps draining until `run_s + drain_s`, and the
@@ -170,7 +170,7 @@ pub enum RouterPolicy {
 
 impl RouterPolicy {
     /// Builds the router for a world of `shards` groups (shared with
-    /// the parallel runner; public so trace oracles outside the crate
+    /// the shard-engine runner; public so trace oracles outside the crate
     /// can reconstruct the routing a scenario implies).
     pub fn build(&self, shards: usize) -> Result<ShardRouter, ScenarioError> {
         let router = match self {
@@ -373,6 +373,8 @@ pub enum ScenarioError {
     },
     /// `shards` is zero.
     NoShards,
+    /// `world_workers` is zero: a world needs a thread to run on.
+    NoWorldWorkers,
     /// The explicit-range router policy is malformed.
     Router(RouterConfigError),
     /// The router's shard count differs from the world's.
@@ -442,8 +444,8 @@ pub enum ScenarioError {
         /// The abandoned point's index in grid order.
         index: usize,
     },
-    /// A parallel-world worker thread died before reporting its
-    /// shard's result.
+    /// A shard-engine worker thread died before reporting its shard's
+    /// result.
     WorldWorkerLost {
         /// The abandoned shard's index.
         shard: usize,
@@ -473,6 +475,10 @@ impl fmt::Display for ScenarioError {
                 "field `knobs.variant`: kind {kind} conflicts with variant {variant:?}"
             ),
             ScenarioError::NoShards => write!(f, "field `shards`: a world needs at least 1 shard"),
+            ScenarioError::NoWorldWorkers => write!(
+                f,
+                "field `world_workers`: a world needs at least 1 worker thread"
+            ),
             ScenarioError::Router(e) => write!(f, "field `router`: {e}"),
             ScenarioError::RouterShardMismatch { router, world } => write!(
                 f,
@@ -561,14 +567,10 @@ pub struct Scenario {
     pub faults: Vec<ScenarioFault>,
     /// Measurement window (also derives the clients' stop time).
     pub window: Window,
-    /// Worker threads for parallel shard execution. The default 0
-    /// keeps the legacy single-threaded shared-world engine; any value
-    /// ≥ 1 switches a multi-shard scenario to isolated per-shard
-    /// engines executed on up to `world_workers` threads, with the
-    /// per-shard traces merged deterministically — every value ≥ 1
-    /// realizes the identical schedule, bit for bit (1 worker runs the
-    /// same per-shard path inline). Ignored when `shards == 1`, like
-    /// [`Scenario::router`]: a flat world has nothing to split.
+    /// Threads the shard engines run on (at most one per shard). A pure
+    /// thread count: every value realizes the identical schedule, trace
+    /// and report, bit for bit. The default 1 runs the shards inline on
+    /// the calling thread; 0 is rejected by [`Scenario::validate`].
     pub world_workers: usize,
 }
 
@@ -590,7 +592,7 @@ impl Scenario {
             cpu: CpuModel::default(),
             faults: Vec::new(),
             window: Window::default(),
-            world_workers: 0,
+            world_workers: 1,
         }
     }
 
@@ -676,10 +678,8 @@ impl Scenario {
         self
     }
 
-    /// Sets the parallel world-worker count (see
-    /// [`Scenario::world_workers`]): ≥ 1 runs each shard of a
-    /// multi-shard world in its own isolated engine, on up to that many
-    /// threads, with a deterministic trace merge.
+    /// Sets the shard-engine thread count (see
+    /// [`Scenario::world_workers`]); results do not depend on it.
     pub fn world_workers(mut self, workers: usize) -> Self {
         self.world_workers = workers;
         self
@@ -776,6 +776,9 @@ impl Scenario {
         if self.shards == 0 {
             return Err(ScenarioError::NoShards);
         }
+        if self.world_workers == 0 {
+            return Err(ScenarioError::NoWorldWorkers);
+        }
         if self.shards > 1 {
             self.router.build(self.shards)?;
         } else if let RouterPolicy::Ranges(ranges) = &self.router {
@@ -849,7 +852,7 @@ impl Scenario {
     }
 
     /// Lowers one fault entry onto the uniform [`FaultSpec`] of the
-    /// hosted protocol (shared with the parallel runner).
+    /// hosted protocol (used by the shard-engine runner).
     pub(crate) fn lower_fault<P: Protocol>(
         &self,
         index: usize,
@@ -958,112 +961,7 @@ impl Scenario {
                 protocol: P::NAME,
             });
         }
-        // A multi-shard world with an explicit worker count runs on the
-        // isolated per-shard-engine path (deterministically identical
-        // for every count ≥ 1); the default 0 keeps the legacy shared
-        // single-threaded engine, whose realized schedule is pinned by
-        // the golden traces.
-        if self.shards > 1 && self.world_workers >= 1 {
-            let mut run = crate::parallel::run_world_parallel::<P>(self, enforce_safety, trace)?;
-            if let Some(cfg) = trace {
-                crate::obs::push_phase_records(
-                    &mut run.records,
-                    &run.events,
-                    self.nodes_per_shard(),
-                    cfg,
-                );
-            }
-            return Ok(run);
-        }
-        let stop = self.window.end();
-        if self.shards == 1 {
-            let mut b = WorldBuilder::<P>::new(self.knobs.f)
-                .knobs(self.knobs.clone())
-                .cpu(self.cpu)
-                .lan_link(self.links.lan.clone())
-                .pair_link(self.links.pair.clone());
-            for c in &self.clients {
-                let spec = ClientSpec::new(c.rate_per_sec, c.request_size, stop);
-                b = if c.population > 1 {
-                    b.client_population(spec, c.arrival, c.population)
-                } else {
-                    match c.arrival {
-                        Arrival::Constant => b.client(spec),
-                        Arrival::Poisson => b.poisson_client(spec),
-                    }
-                };
-            }
-            for (i, fault) in self.faults.iter().enumerate() {
-                b = b.fault(fault.process, self.lower_fault::<P>(i, fault)?);
-            }
-            let mut d = b.build();
-            if let Some(cfg) = trace {
-                d.world.set_trace_sink(Box::new(MemSink::new(cfg.clone())));
-            }
-            d.start();
-            d.run_until(self.window.horizon());
-            let events = d.world.drain_events();
-            let mut records = d.world.drain_trace();
-            let report = summarize(
-                &[&events],
-                &events,
-                self.window,
-                d.world.messages_sent(),
-                &[d.world.counters()],
-                d.world.metrics(),
-                enforce_safety,
-            );
-            if let Some(cfg) = trace {
-                crate::obs::push_phase_records(&mut records, &events, self.nodes_per_shard(), cfg);
-            }
-            Ok(ObservedRun {
-                report,
-                events,
-                records,
-            })
-        } else {
-            let mut b = ShardedWorldBuilder::<P>::new(self.shards, self.knobs.f)
-                .knobs(self.knobs.clone())
-                .cpu(self.cpu)
-                .lan_link(self.links.lan.clone())
-                .pair_link(self.links.pair.clone())
-                .router(self.router.build(self.shards)?);
-            for c in &self.clients {
-                let spec = ClientSpec::new(c.rate_per_sec, c.request_size, stop);
-                b = b.client_population_with(spec, c.arrival, c.load, c.population);
-            }
-            for (i, fault) in self.faults.iter().enumerate() {
-                b = b.fault(fault.shard, fault.process, self.lower_fault::<P>(i, fault)?);
-            }
-            let mut d = b.build();
-            if let Some(cfg) = trace {
-                d.world.set_trace_sink(Box::new(MemSink::new(cfg.clone())));
-            }
-            d.start();
-            d.run_until(self.window.horizon());
-            let events = d.world.drain_events();
-            let mut records = d.world.drain_trace();
-            let parts = d.partition_events(&events);
-            let refs: Vec<&[TimedEvent<ProtocolEvent>]> =
-                parts.iter().map(|p| p.as_slice()).collect();
-            let report = summarize(
-                &refs,
-                &events,
-                self.window,
-                d.world.messages_sent(),
-                &[d.world.counters()],
-                d.world.metrics(),
-                enforce_safety,
-            );
-            if let Some(cfg) = trace {
-                crate::obs::push_phase_records(&mut records, &events, self.nodes_per_shard(), cfg);
-            }
-            Ok(ObservedRun {
-                report,
-                events,
-                records,
-            })
-        }
+        crate::parallel::run_world::<P>(self, enforce_safety, trace)
     }
 }
 
@@ -1108,8 +1006,7 @@ pub struct ShardReport {
 
 /// The uniform result of one scenario run, flat or sharded: per-shard
 /// measurements (one entry for a flat world) plus the cross-shard
-/// rollup. Flat runs report the exact numbers the legacy `Point` path
-/// reported; sharded runs the legacy `ShardedPoint` numbers.
+/// rollup.
 #[derive(Clone, Debug, PartialEq)]
 pub struct Report {
     /// Per-shard measurements, in shard order.
@@ -1132,15 +1029,14 @@ pub struct Report {
     /// host-performance rates. Seed-determined, so safe under the
     /// `PartialEq` determinism comparisons this struct participates in.
     pub engine: EngineCounters,
-    /// The same counters per engine, before aggregation: one entry per
-    /// isolated engine — per shard on the parallel path, a single entry
-    /// for flat worlds and the legacy shared-engine path. Lets a
-    /// parallel-scaling regression (arena high water, heap traffic) be
-    /// attributed to a shard instead of disappearing into the sum.
+    /// The same counters per shard engine, in shard order, before
+    /// aggregation (a single entry for a flat world). Lets a regression
+    /// in arena high water or heap traffic be attributed to a shard
+    /// instead of disappearing into the sum.
     pub engine_per_shard: Vec<EngineCounters>,
     /// Deterministic named metrics scraped from the engine(s) — the
     /// counter set of [`sofb_sim::engine::World::metrics`], absorbed
-    /// across shard engines like `NodeStats::absorb`.
+    /// across shard engines with [`MetricsSnapshot::absorb`].
     pub metrics: MetricsSnapshot,
 }
 
@@ -1184,8 +1080,8 @@ fn batches_and_requests_committed(
 
 /// The one measurement pass behind every scenario run: per-shard safety
 /// check, censored latency distributions, the exact cross-shard rollup
-/// and the world-wide counters. Shared with the parallel runner, which
-/// feeds it per-shard traces from isolated engines.
+/// and the world-wide counters, over the per-shard logs of the shard
+/// engines and their merged log.
 pub(crate) fn summarize(
     shard_events: &[&[TimedEvent<ProtocolEvent>]],
     all_events: &[TimedEvent<ProtocolEvent>],
@@ -1420,7 +1316,8 @@ impl Axis {
         a
     }
 
-    /// The parallel world-worker axis (see [`Scenario::world_workers`]).
+    /// The shard-engine thread-count axis (see [`Scenario::world_workers`];
+    /// every value realizes the same results).
     pub fn world_workers(workers: &[usize]) -> Self {
         let mut a = Axis::new("world_workers");
         for &w in workers {
@@ -1781,6 +1678,22 @@ mod tests {
                 world: 3
             }
         );
+    }
+
+    /// `world_workers` is a thread count: 0 is a typed error naming the
+    /// field (the spec parser and CLI flag reject it too), never a mode.
+    #[test]
+    fn zero_world_workers_is_typed_not_a_mode() {
+        assert_eq!(Scenario::new(ProtocolKind::Sc).world_workers, 1);
+        for shards in [1, 2] {
+            let err = Scenario::bench(ProtocolKind::Sc)
+                .shards(shards)
+                .world_workers(0)
+                .validate()
+                .unwrap_err();
+            assert_eq!(err, ScenarioError::NoWorldWorkers);
+            assert!(err.to_string().contains("`world_workers`"), "{err}");
+        }
     }
 
     #[test]

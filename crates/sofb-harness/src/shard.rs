@@ -1,42 +1,16 @@
-//! The sharded world layer: many independent ordering groups in one
-//! simulated world.
+//! Request-to-shard routing for sharded worlds.
 //!
-//! [`ShardedWorldBuilder`] instantiates `S` copies of a protocol's
-//! ordering group — each with its own coordinator set, dealer-seeded
-//! crypto, link overrides and fault plan — side by side in a single
-//! [`World`], at node-index bases `0, n, 2n, …`. The engine's index
-//! namespaces (see [`World::add_node_at_base`]) let the unmodified
-//! per-protocol actors run believing their world is `0..n`, so every
-//! variant (SC, SCR, BFT, CT) inherits horizontal scaling without any
-//! protocol-crate change.
-//!
-//! Client requests are spread over the groups by a key-based
-//! [`ShardRouter`] (stable hashing or explicit key ranges) from inside
-//! the one shared [`crate::client::ClientActor`]; cross-shard metric
-//! rollups build on [`sofb_sim::metrics::GroupRollup`] and
-//! [`NodeStats::absorb`].
-//!
-//! A 1-shard sharded world is bit-identical — same `(time, node, kind)`
-//! event trace — to the flat [`crate::builder::WorldBuilder`] world:
-//! base 0 makes every index translation the identity and the assembly
-//! order matches, which the golden-equivalence tests pin.
+//! A sharded scenario is `S` independent ordering groups of one protocol
+//! (SC, SCR, BFT or CT). Groups exchange no messages, so the harness runs
+//! each in its own engine (see `parallel`) and a flat world is simply
+//! `S = 1`. This module holds what the groups share: the key-based
+//! [`ShardRouter`] (stable hashing or explicit key ranges) that assigns
+//! every client request to one group, the [`ShardLoad`] rule that maps a
+//! client's rate onto the group set, and the per-shard seed schedule.
 
 use std::fmt;
-use std::ops::Range;
 
-use sofb_crypto::scheme::SchemeId;
-use sofb_proto::ids::{ClientId, ProcessId};
-use sofb_proto::topology::Variant;
-use sofb_sim::cpu::CpuModel;
-use sofb_sim::delay::{LinkModel, NetworkModel};
-use sofb_sim::engine::{Actor, NodeStats, TimedEvent, World};
-use sofb_sim::time::{SimDuration, SimTime};
-
-use crate::client::{Arrival, ClientActor, ClientSpec};
-use crate::event::ProtocolEvent;
-use crate::fault::{apply_engine_fault, FaultSpec};
-use crate::population::ClientPopulation;
-use crate::protocol::{Knobs, Links, Protocol};
+use sofb_proto::ids::ClientId;
 
 /// SplitMix64: a stable, seed-independent 64-bit mix. Routing must not
 /// depend on `std`'s randomized hashers — the same key maps to the same
@@ -52,9 +26,8 @@ pub(crate) fn splitmix64(mut x: u64) -> u64 {
 
 /// The dealer/config seed of shard `s`: shard 0 keeps the base seed
 /// (which is what makes a 1-shard world bit-identical to the flat
-/// builder's), later shards decorrelate by the 64-bit golden ratio.
-/// Shared with the parallel runner, which must seed each isolated
-/// shard engine identically to the shared-world builder.
+/// [`crate::builder::WorldBuilder`] world), later shards decorrelate by
+/// the 64-bit golden ratio.
 pub(crate) fn shard_seed(seed: u64, s: usize) -> u64 {
     seed ^ (s as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
 }
@@ -239,372 +212,6 @@ pub enum ShardLoad {
     /// stream and preserves per-shard Poisson arrivals, when the
     /// per-shard arrival law matters.
     PerShard,
-}
-
-/// One ordering group's node placement inside a sharded world.
-#[derive(Clone, Copy, Debug)]
-struct ShardInfo {
-    /// First node index of the group (its index-namespace base).
-    base: usize,
-    /// Number of order processes in the group.
-    n: usize,
-}
-
-/// Builder for a world of `S` independent ordering groups of protocol
-/// `P`, plus multi-shard clients and a per-shard fault plan.
-///
-/// # Examples
-///
-/// ```ignore
-/// let mut d = ShardedWorldBuilder::<ScProtocol>::new(4, 1)
-///     .client(ClientSpec::new(400.0, 100, SimTime::from_secs(2)))
-///     .build();
-/// d.start();
-/// d.run_until(SimTime::from_secs(4));
-/// ```
-#[derive(Debug)]
-pub struct ShardedWorldBuilder<P: Protocol> {
-    shards: usize,
-    knobs: Knobs,
-    links: Links,
-    cpu: CpuModel,
-    router: Option<ShardRouter>,
-    clients: Vec<(ClientSpec, Arrival, ShardLoad, usize)>,
-    faults: Vec<(usize, ProcessId, FaultSpec<P::Byz>)>,
-}
-
-impl<P: Protocol> ShardedWorldBuilder<P> {
-    /// Starts a builder for `shards` ordering groups, each at resilience
-    /// `f` with the paper's defaults.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `shards` is zero.
-    pub fn new(shards: usize, f: u32) -> Self {
-        assert!(shards > 0, "a world needs at least 1 shard");
-        ShardedWorldBuilder {
-            shards,
-            knobs: Knobs {
-                f,
-                ..Knobs::default()
-            },
-            links: Links::default(),
-            cpu: CpuModel::default(),
-            router: None,
-            clients: Vec::new(),
-            faults: Vec::new(),
-        }
-    }
-
-    /// Replaces the full knob set (the per-shard dealer seed is still
-    /// derived per shard at build time).
-    pub fn knobs(mut self, knobs: Knobs) -> Self {
-        self.knobs = knobs;
-        self
-    }
-
-    /// Sets the SC layout flavour (ignored by BFT/CT).
-    pub fn variant(mut self, variant: Variant) -> Self {
-        self.knobs.variant = variant;
-        self
-    }
-
-    /// Sets the crypto scheme.
-    pub fn scheme(mut self, scheme: SchemeId) -> Self {
-        self.knobs.scheme = scheme;
-        self
-    }
-
-    /// Sets the deterministic seed (shard 0 uses it verbatim; shard `s`
-    /// derives `seed ⊕ s·φ64` so groups get independent dealer streams).
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.knobs.seed = seed;
-        self
-    }
-
-    /// Sets the batching interval for every group.
-    pub fn batching_interval(mut self, d: SimDuration) -> Self {
-        self.knobs.batching_interval = d;
-        self
-    }
-
-    /// Sets the shadow's proposal-timeliness estimate (SC/SCR).
-    pub fn order_timeout(mut self, d: SimDuration) -> Self {
-        self.knobs.order_timeout = d;
-        self
-    }
-
-    /// Enables/disables time-domain failure detection (SC/SCR).
-    pub fn time_checks(mut self, on: bool) -> Self {
-        self.knobs.time_checks = on;
-        self
-    }
-
-    /// Enables BFT view changes with the given request timeout.
-    pub fn request_timeout(mut self, d: SimDuration) -> Self {
-        self.knobs.request_timeout = Some(d);
-        self
-    }
-
-    /// Overrides the CPU model of every process node.
-    pub fn cpu(mut self, cpu: CpuModel) -> Self {
-        self.cpu = cpu;
-        self
-    }
-
-    /// Overrides the asynchronous-network link model joining everything.
-    pub fn lan_link(mut self, link: LinkModel) -> Self {
-        self.links.lan = link;
-        self
-    }
-
-    /// Overrides the intra-pair link model (SC/SCR; applied inside every
-    /// group).
-    pub fn pair_link(mut self, link: LinkModel) -> Self {
-        self.links.pair = link;
-        self
-    }
-
-    /// Sets the request router. Defaults to [`ShardRouter::hash`] over
-    /// the world's shard count.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the router's shard count differs from the world's.
-    pub fn router(mut self, router: ShardRouter) -> Self {
-        assert_eq!(
-            router.shard_count(),
-            self.shards,
-            "router shard count must match the world's"
-        );
-        self.router = Some(router);
-        self
-    }
-
-    /// Adds a constant-rate client (total rate, router-spread).
-    pub fn client(self, spec: ClientSpec) -> Self {
-        self.client_with(spec, Arrival::Constant, ShardLoad::Global)
-    }
-
-    /// Adds an open-loop Poisson client (total rate, router-spread).
-    pub fn poisson_client(self, spec: ClientSpec) -> Self {
-        self.client_with(spec, Arrival::Poisson, ShardLoad::Global)
-    }
-
-    /// Adds a client with explicit arrival process and load mapping.
-    pub fn client_with(self, spec: ClientSpec, arrival: Arrival, load: ShardLoad) -> Self {
-        self.client_population_with(spec, arrival, load, 1)
-    }
-
-    /// Adds `population` open-loop clients sharing one spec. A
-    /// population of 1 is an ordinary [`ClientActor`]; larger counts
-    /// are aggregated into a single [`ClientPopulation`] actor, so a
-    /// world carries 10⁵–10⁶ simulated users at O(1) actor cost.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `population` is 0.
-    pub fn client_population_with(
-        mut self,
-        spec: ClientSpec,
-        arrival: Arrival,
-        load: ShardLoad,
-        population: usize,
-    ) -> Self {
-        assert!(population >= 1, "client population must be at least 1");
-        self.clients.push((spec, arrival, load, population));
-        self
-    }
-
-    /// Installs a fault on process `p` *of shard `shard`* (crash, mute
-    /// and delay work on every variant; Byzantine entries are
-    /// protocol-specific and consumed by that shard's node constructor).
-    pub fn fault(mut self, shard: usize, p: ProcessId, spec: FaultSpec<P::Byz>) -> Self {
-        self.faults.push((shard, p, spec));
-        self
-    }
-
-    /// Assembles the world: `S` ordering groups at bases `0, n, 2n, …`,
-    /// then the clients, then the fault plan — the same order as the
-    /// flat builder, so a 1-shard world realizes the identical schedule.
-    pub fn build(self) -> ShardedDeployment<P> {
-        let n = P::node_count(&self.knobs);
-        let router = self
-            .router
-            .unwrap_or_else(|| ShardRouter::hash(self.shards));
-
-        let mut shard_knobs = Vec::with_capacity(self.shards);
-        for s in 0..self.shards {
-            let mut k = self.knobs.clone();
-            k.seed = shard_seed(self.knobs.seed, s);
-            shard_knobs.push(k);
-        }
-
-        // One world-wide network: the LAN joins everything (including
-        // cross-shard pairs, which only client traffic crosses); each
-        // group's special links (e.g. SC pair links) recur at its base.
-        let mut net = NetworkModel::uniform(self.links.lan.clone());
-        for (s, k) in shard_knobs.iter().enumerate() {
-            net = net.merge_shifted(&P::network(k, &self.links), s * n);
-        }
-        let mut world: World<P::Msg, ProtocolEvent> = World::new(net, self.knobs.seed);
-
-        let mut shards = Vec::with_capacity(self.shards);
-        for (s, k) in shard_knobs.iter().enumerate() {
-            let base = s * n;
-            let byz: Vec<(ProcessId, P::Byz)> = self
-                .faults
-                .iter()
-                .filter(|(fs, _, _)| *fs == s)
-                .filter_map(|(_, p, spec)| match spec {
-                    FaultSpec::Byzantine(b) => Some((*p, b.clone())),
-                    _ => None,
-                })
-                .collect();
-            let nodes = P::build_nodes(k, &byz);
-            assert_eq!(
-                nodes.len(),
-                n,
-                "{}: node_count/build_nodes mismatch",
-                P::NAME
-            );
-            for actor in nodes {
-                world.add_node_at_base(actor, self.cpu, base);
-            }
-            shards.push(ShardInfo { base, n });
-        }
-
-        let ranges: Vec<Range<usize>> = shards.iter().map(|i| i.base..i.base + i.n).collect();
-        let mut client_nodes = Vec::with_capacity(self.clients.len());
-        // Base ids advance by each entry's population, so entry k's
-        // clients are `next_id..next_id+population` — identical to the
-        // historical `ClientId(k)` numbering when every population is 1.
-        let mut next_id = 0u32;
-        for (spec, arrival, load, population) in &self.clients {
-            let client: Box<dyn Actor<Msg = P::Msg, Event = ProtocolEvent>> = if *population > 1 {
-                Box::new(ClientPopulation::new_sharded(
-                    ClientId(next_id),
-                    *population,
-                    ranges.clone(),
-                    router.clone(),
-                    *load,
-                    spec,
-                    *arrival,
-                    self.knobs.seed,
-                    P::request_msg,
-                ))
-            } else {
-                Box::new(ClientActor::new_sharded(
-                    ClientId(next_id),
-                    ranges.clone(),
-                    router.clone(),
-                    *load,
-                    spec,
-                    *arrival,
-                    P::request_msg,
-                ))
-            };
-            client_nodes.push(world.add_node(client, CpuModel::zero()));
-            next_id += *population as u32;
-        }
-
-        for (s, p, spec) in &self.faults {
-            let info = shards
-                .get(*s)
-                .unwrap_or_else(|| panic!("fault targets shard {s} outside the world"));
-            assert!(
-                (p.0 as usize) < info.n,
-                "fault target {p} outside shard {s}'s process set"
-            );
-            apply_engine_fault(&mut world, info.base + p.0 as usize, spec);
-        }
-
-        ShardedDeployment {
-            world,
-            shards,
-            client_nodes,
-            knobs: self.knobs,
-            router,
-        }
-    }
-}
-
-/// A built sharded deployment of protocol `P`.
-pub struct ShardedDeployment<P: Protocol> {
-    /// The simulator world (drive with [`ShardedDeployment::start`] /
-    /// [`ShardedDeployment::run_until`], or directly).
-    pub world: World<P::Msg, ProtocolEvent>,
-    /// The ordering groups, in shard order.
-    shards: Vec<ShardInfo>,
-    /// Node indices of the synthetic clients.
-    pub client_nodes: Vec<usize>,
-    /// The (base) knob set the deployment was built with.
-    pub knobs: Knobs,
-    /// The request router the clients route with.
-    router: ShardRouter,
-}
-
-impl<P: Protocol> ShardedDeployment<P> {
-    /// Starts all nodes.
-    pub fn start(&mut self) {
-        self.world.start();
-    }
-
-    /// Runs until the given virtual time.
-    pub fn run_until(&mut self, t: SimTime) {
-        self.world.run_until(t);
-    }
-
-    /// Number of ordering groups.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
-    /// The node-index range of shard `s`.
-    pub fn shard_range(&self, s: usize) -> Range<usize> {
-        let info = self.shards[s];
-        info.base..info.base + info.n
-    }
-
-    /// The shard owning world node `node`, if it is an order process
-    /// (clients belong to no shard).
-    pub fn shard_of_node(&self, node: usize) -> Option<usize> {
-        self.shards
-            .iter()
-            .position(|i| node >= i.base && node < i.base + i.n)
-    }
-
-    /// The router the clients route requests with (tests recompute
-    /// expected shards through it).
-    pub fn router(&self) -> &ShardRouter {
-        &self.router
-    }
-
-    /// Shard `s`'s aggregated node counters (callbacks and busy time
-    /// sum; queue high-water marks take the shard maximum).
-    pub fn shard_stats(&self, s: usize) -> NodeStats {
-        let mut agg = NodeStats::default();
-        for node in self.shard_range(s) {
-            agg.absorb(&self.world.node_stats(node));
-        }
-        agg
-    }
-
-    /// Splits an observation log by emitting shard, dropping events from
-    /// non-process nodes: `result[s]` holds shard `s`'s events in their
-    /// original order, ready for the per-shard analysis pass.
-    pub fn partition_events(
-        &self,
-        events: &[TimedEvent<ProtocolEvent>],
-    ) -> Vec<Vec<TimedEvent<ProtocolEvent>>> {
-        let mut out: Vec<Vec<TimedEvent<ProtocolEvent>>> = vec![Vec::new(); self.shards.len()];
-        for ev in events {
-            if let Some(s) = self.shard_of_node(ev.node) {
-                out[s].push(ev.clone());
-            }
-        }
-        out
-    }
 }
 
 impl PartialEq for ShardRouter {

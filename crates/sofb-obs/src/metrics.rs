@@ -5,8 +5,7 @@
 //! update: handles are `Arc<AtomicU64>` so hot loops touch no locks. The
 //! snapshot side ([`MetricsSnapshot`]) is a plain sorted map of values;
 //! simulation code usually builds snapshots directly (one per engine) and
-//! merges them with [`MetricsSnapshot::absorb`], mirroring how
-//! `NodeStats::absorb` rolls node counters up across shards.
+//! merges them across shard engines with [`MetricsSnapshot::absorb`].
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};

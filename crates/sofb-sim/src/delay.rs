@@ -157,21 +157,6 @@ impl NetworkModel {
         self.with_link(a, b, link.clone()).with_link(b, a, link)
     }
 
-    /// Embeds another network's link overrides at a node-index offset:
-    /// each of `other`'s `(from, to)` overrides is re-added as
-    /// `(from + offset, to + offset)`. `other`'s default link is
-    /// discarded — the receiving network's default keeps governing every
-    /// non-overridden pair. This is how a sharded world composes one
-    /// world-wide network from per-group network shapes (e.g. SC pair
-    /// links recur inside every group, joined by the global LAN).
-    pub fn merge_shifted(mut self, other: &NetworkModel, offset: usize) -> Self {
-        for ((f, t), link) in &other.overrides {
-            self.overrides
-                .push(((f + offset, t + offset), link.clone()));
-        }
-        self
-    }
-
     /// The link model for `(from, to)`.
     pub fn link(&self, from: usize, to: usize) -> &LinkModel {
         self.overrides
@@ -267,28 +252,5 @@ mod tests {
         assert_eq!(net.link(0, 1).per_byte_ns, 8);
         assert_eq!(net.link(1, 0).per_byte_ns, 8);
         assert_eq!(net.link(0, 2).per_byte_ns, 80);
-    }
-
-    #[test]
-    fn merge_shifted_relocates_overrides_and_keeps_own_default() {
-        let group = NetworkModel::uniform(LinkModel::pair_link()).with_bidi_link(
-            0,
-            1,
-            LinkModel {
-                delay: DelayModel::Constant(SimDuration::from_us(1)),
-                per_byte_ns: 1,
-            },
-        );
-        let world = NetworkModel::uniform(LinkModel::lan_100mbit())
-            .merge_shifted(&group, 0)
-            .merge_shifted(&group, 4);
-        // Overrides recur at both bases…
-        assert_eq!(world.link(0, 1).per_byte_ns, 1);
-        assert_eq!(world.link(4, 5).per_byte_ns, 1);
-        assert_eq!(world.link(5, 4).per_byte_ns, 1);
-        // …while non-overridden pairs (including cross-group ones) use
-        // the receiving network's default, not the group's.
-        assert_eq!(world.link(1, 4).per_byte_ns, 80);
-        assert_eq!(world.link(2, 3).per_byte_ns, 80);
     }
 }

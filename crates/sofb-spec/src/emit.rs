@@ -162,9 +162,9 @@ pub fn emit_spec(
     }
     let _ = writeln!(out, "shards = {}", scenario.shards);
     let _ = writeln!(out, "router = {}", router_value(&scenario.router));
-    // 0 is the programmatic legacy-path default the grammar rejects;
-    // omitting the key reproduces it.
-    if scenario.world_workers > 0 {
+    // A pure thread count: omitted at its default of 1, so a spec
+    // re-emits byte-identically whatever thread count it last ran on.
+    if scenario.world_workers != 1 {
         let _ = writeln!(out, "world_workers = {}", scenario.world_workers);
     }
     let _ = writeln!(out);

@@ -131,9 +131,9 @@ pub fn render(report: &GridReport, meta: ReportMeta<'_>) -> String {
         )
         .unwrap();
         // Per-engine scheduler/arena traffic, before aggregation: one row
-        // per isolated engine (per shard on the parallel path; a single
-        // row otherwise). Deterministic integers, compared exactly by
-        // `check` — a parallel-scaling regression names its shard.
+        // per shard engine (a single row for a flat world). Deterministic
+        // integers, compared exactly by `check` — a regression names its
+        // shard.
         writeln!(body, "      \"engine_shards\": [").unwrap();
         let engines = &p.report.engine_per_shard;
         for (s, e) in engines.iter().enumerate() {

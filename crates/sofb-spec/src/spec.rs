@@ -787,8 +787,8 @@ fn apply_scenario_key(s: &mut Scenario, entry: &RawEntry) -> Result<bool, SpecEr
         "shards" => s.shards = parse_usize(entry)?,
         "router" => s.router = parse_router(entry)?,
         "world_workers" => {
-            // 0 is the programmatic "legacy path" default and stays
-            // unreachable from specs, same as from the CLI flag.
+            // A world needs at least one thread, same as from the CLI
+            // flag (`Scenario::validate` rejects 0 too).
             s.world_workers = match parse_usize(entry)? {
                 0 => return Err(bad_value(entry, "a positive worker count (>= 1)")),
                 w => w,

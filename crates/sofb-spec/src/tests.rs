@@ -500,8 +500,8 @@ fn bad_enum_values_name_the_line() {
     );
 }
 
-/// Zero workers/members is the programmatic "unset" sentinel, never a
-/// spec value: both reject at parse with the offending line.
+/// Zero workers/members is never a spec value: both reject at parse
+/// with the offending line.
 #[test]
 fn zero_world_workers_and_zero_population_are_rejected() {
     let err = parse_err("[scenario]\nkind = SC\nshards = 2\nworld_workers = 0\n");
@@ -778,6 +778,48 @@ fn emitted_spec_round_trips() {
         text,
         emit_spec("minimal repro", "total_order", Verdict::Violation, &s).unwrap()
     );
+}
+
+/// `world_workers` is a pure thread count: emission omits it at its
+/// default of 1 (and keeps any other value), so a repro re-emits
+/// byte-identically whatever thread count it last ran on.
+#[test]
+fn emit_omits_world_workers_at_its_default() {
+    let flat = Scenario::new(ProtocolKind::Sc);
+    let text = emit_spec("t", "o", Verdict::Pass, &flat).unwrap();
+    assert!(!text.contains("world_workers"), "{text}");
+    assert_eq!(parse(&text).base.world_workers, 1);
+
+    let two = flat.world_workers(2);
+    let text = emit_spec("t", "o", Verdict::Pass, &two).unwrap();
+    assert!(text.contains("\nworld_workers = 2\n"), "{text}");
+    assert_eq!(parse(&text).base, two);
+}
+
+/// Every committed repro is exactly what emission produces for its own
+/// scenario and `[meta]` header, byte for byte.
+#[test]
+fn committed_repros_re_emit_byte_identically() {
+    let dir = concat!(env!("CARGO_MANIFEST_DIR"), "/../../specs/repros");
+    let mut checked = 0;
+    for entry in std::fs::read_dir(dir).expect("specs/repros exists") {
+        let path = entry.unwrap().path();
+        if path.extension().and_then(|e| e.to_str()) != Some("scn") {
+            continue;
+        }
+        let text = std::fs::read_to_string(&path).unwrap();
+        let spec = parse(&text);
+        let again = emit_spec(
+            spec.title.as_deref().expect("repro has a title"),
+            spec.oracle.as_deref().expect("repro has an oracle"),
+            spec.verdict.expect("repro has a verdict"),
+            &spec.base,
+        )
+        .unwrap();
+        assert_eq!(again, text, "{} re-emits differently", path.display());
+        checked += 1;
+    }
+    assert!(checked >= 1, "no committed repros found");
 }
 
 #[test]

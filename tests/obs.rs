@@ -70,28 +70,46 @@ fn checked_and_unchecked_runners_emit_identical_traces() {
 
 #[test]
 fn chrome_trace_parses_and_covers_every_node() {
-    let run = run_observed(&world(ProtocolKind::Sc, 2, 1), &TraceConfig::default()).unwrap();
+    let s = world(ProtocolKind::Sc, 2, 1);
+    let processes = s.shards * s.nodes_per_shard();
+    let run = run_observed(&s, &TraceConfig::default()).unwrap();
     let text = chrome::render(&run.records);
     let doc = json::parse(&text).expect("emitted chrome trace parses as JSON");
 
-    // Count complete ("X") span events per process (= per node).
+    // Count complete ("X") spans and instants ("i") per process (= per
+    // node).
     let events = doc
         .get("traceEvents")
         .and_then(|v| v.as_array())
         .expect("traceEvents array");
     let mut spans_per_node: BTreeMap<u64, u64> = BTreeMap::new();
+    let mut events_per_node: BTreeMap<u64, u64> = BTreeMap::new();
     for ev in events {
-        if ev.get("ph").and_then(|v| v.as_str()) == Some("X") {
+        let ph = ev.get("ph").and_then(|v| v.as_str());
+        if matches!(ph, Some("X" | "i")) {
             let pid = ev.get("pid").and_then(|v| v.as_f64()).expect("pid") as u64;
-            *spans_per_node.entry(pid).or_default() += 1;
+            *events_per_node.entry(pid).or_default() += 1;
+            if ph == Some("X") {
+                *spans_per_node.entry(pid).or_default() += 1;
+            }
         }
     }
     for node in run.records.iter().map(|r| r.node) {
         assert!(
-            spans_per_node.get(&(node as u64)).copied().unwrap_or(0) >= 1,
-            "node {node} appears in the records but has no span in the trace"
+            events_per_node.get(&(node as u64)).copied().unwrap_or(0) >= 1,
+            "node {node} appears in the records but not in the trace"
+        );
+        // Order processes burn CPU, so their dispatches are spans; the
+        // clients run at zero CPU cost, so theirs are instants.
+        assert!(
+            node >= processes || spans_per_node.get(&(node as u64)).copied().unwrap_or(0) >= 1,
+            "process {node} appears in the records but has no span in the trace"
         );
     }
+    assert!(
+        run.records.iter().any(|r| r.node >= processes),
+        "the clients left no records"
+    );
     // Both lanes are populated: engine dispatch spans and derived
     // protocol phase spans.
     assert!(run.records.iter().any(|r| r.kind == TraceKind::Dispatch));
@@ -107,9 +125,9 @@ fn chrome_trace_parses_and_covers_every_node() {
 
 #[test]
 fn node_filter_restricts_the_trace_to_global_indices() {
-    // Nodes are filtered by *global* index even on the parallel path,
-    // where in-shard records are recorded under shard-local indices and
-    // restamped during the merge.
+    // Nodes are filtered by *merged* index, although in-shard records
+    // are recorded under shard-local indices and restamped during the
+    // merge.
     let cfg = TraceConfig {
         nodes: Some(vec![0, 1]),
         ..TraceConfig::default()
@@ -119,5 +137,48 @@ fn node_filter_restricts_the_trace_to_global_indices() {
     assert!(
         run.records.iter().all(|r| r.node <= 1),
         "a record escaped the node filter"
+    );
+}
+
+#[test]
+fn client_records_appear_exactly_once_at_any_worker_count() {
+    // Every shard engine hosts a replica of each client; the merged trace
+    // keeps shard 0's, restamped past the processes to `S·n + j`. Each
+    // client therefore starts exactly once, under its own index, and the
+    // trace is the same whichever thread ran which shard.
+    let shards = 2;
+    let clients = 2;
+    let mut renders = Vec::new();
+    for workers in [1, 2] {
+        let s = world(ProtocolKind::Sc, shards, workers);
+        let first_client = shards * s.nodes_per_shard();
+        let run = run_observed(&s, &TraceConfig::default()).unwrap();
+        for j in 0..clients {
+            let node = first_client + j;
+            let starts = run
+                .records
+                .iter()
+                .filter(|r| r.node == node && r.kind == TraceKind::Dispatch && r.name == "start")
+                .count();
+            assert_eq!(
+                starts, 1,
+                "×{workers} workers: client {j} started {starts} times"
+            );
+            assert!(
+                run.records
+                    .iter()
+                    .any(|r| r.node == node && r.name == "timer"),
+                "×{workers} workers: client {j} has no timer records"
+            );
+        }
+        assert!(
+            run.records.iter().all(|r| r.node < first_client + clients),
+            "×{workers} workers: a record names a node past the last client"
+        );
+        renders.push(chrome::render(&run.records));
+    }
+    assert_eq!(
+        renders[0], renders[1],
+        "client records differ across worker counts"
     );
 }

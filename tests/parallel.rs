@@ -98,7 +98,7 @@ fn delay_fault_plan_runs_bit_identical_in_parallel() {
     assert_one_equals_n("SC 4 shards + delay", s, 4);
 }
 
-/// An aggregated Poisson population rides the same parallel path: each
+/// An aggregated Poisson population rides the same shard engines: each
 /// shard engine hosts a slice replica walking the same pick stream.
 #[test]
 fn population_load_runs_bit_identical_in_parallel() {
